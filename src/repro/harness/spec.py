@@ -47,11 +47,14 @@ from repro.workloads.microbench import (linked_list, multiple_counter,
 # v7: RunResult metrics grew the ``profile`` section (repro.obs.profile
 #     per-lock contention profiles, conflict matrix, profile.* families);
 #     cached v6 payloads would come back without it.
-# v8: SystemConfig grew ``kernel_backend`` (reference | batched event
-#     core).  The backends are bit-identical -- pinned by the
-#     cross-backend equivalence suite -- but the serialized config image
-#     changed shape, so pre-v8 cache keys no longer match.
-FINGERPRINT_VERSION = 8
+# v8: SystemConfig grew an event-core backend selector (reference |
+#     batched).  The backends were bit-identical, but the serialized
+#     config image changed shape, so pre-v8 cache keys no longer match.
+# v9: the batched backend is gone: the config image lost the backend
+#     selector field, and the metrics payload lost the kernel
+#     batch-size histogram and the backend name under ``meta``.
+#     Simulated results are unchanged; only cache keys move.
+FINGERPRINT_VERSION = 9
 
 
 # ----------------------------------------------------------------------
@@ -157,6 +160,9 @@ def config_to_dict(config: SystemConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> SystemConfig:
+    # Keys are read by name, so unknown keys are ignored -- notably the
+    # backend selector that v8 images (stored JobSpecs, serve clients)
+    # still carry; it only ever chose a bit-identical event core.
     data = dict(data)
     return SystemConfig(
         num_cpus=data["num_cpus"],
@@ -175,9 +181,6 @@ def config_from_dict(data: dict) -> SystemConfig:
         # Pre-v6 images have no "sched" key; the default is the off
         # switch, which is behaviourally identical to what they ran.
         sched=SchedConfig(**(data.get("sched") or {})),
-        # Pre-v8 images have no "kernel_backend" key; the reference
-        # backend is what they ran (and batched is bit-identical anyway).
-        kernel_backend=data.get("kernel_backend", "reference"),
     )
 
 

@@ -143,6 +143,16 @@ def test_policy_serializability_fanout(policy, workload):
         assert result.num_txns > 0
 
 
+def test_small_policy_grid_verifies_every_cell():
+    from repro.harness.experiments import policy_grid
+    grid = policy_grid(policies=("backoff",),
+                       workloads=("single-counter",),
+                       processor_counts=(2,), seeds=1, ops=24, cache=False)
+    assert grid.ok, grid.failures
+    assert grid.cells
+    assert all(cell["cycles"] > 0 for cell in grid.cells.values())
+
+
 # ----------------------------------------------------------------------
 # Corners
 # ----------------------------------------------------------------------

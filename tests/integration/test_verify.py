@@ -38,6 +38,13 @@ class TestVerifyRun:
         assert result.ok, result.headline()
         assert result.num_txns > 0
 
+    @pytest.mark.parametrize("protocol", ["snoop", "directory"])
+    def test_linked_list_passes_on_each_protocol(self, protocol):
+        result, _ = verify_run(_spec("linked-list", ops=96, seed=1,
+                                     protocol=protocol))
+        assert result.ok, result.headline()
+        assert result.num_txns > 0
+
     @pytest.mark.parametrize("scheme", [SyncScheme.SLE, SyncScheme.BASE,
                                         SyncScheme.MCS])
     def test_other_schemes_pass(self, scheme):

@@ -113,8 +113,7 @@ class CacheController:
         # Optional invariant monitor (repro.verify.monitors); None in
         # normal runs so the hot path pays only an attribute test.
         self.monitor = None
-        # Optional metrics collector (repro.obs.MachineMetrics), gated
-        # the same way.
+        # Optional observer (repro.obs.fanout), gated the same way.
         self.obs = None
         # LL/SC link register.
         self._link: Optional[int] = None
@@ -305,6 +304,8 @@ class CacheController:
     def enter_speculation(self, ts: Optional[Timestamp]) -> None:
         """``start_defer``: the processor enters lock-free transaction
         mode.  ``ts`` is the TLR timestamp, or None under plain SLE."""
+        if self.obs is not None:
+            self.obs.on_txn_begin(self, ts)
         self.speculating = True
         self.current_ts = ts
         self._spec_touched.clear()
@@ -316,14 +317,21 @@ class CacheController:
         store *before* calling this, so deferred requesters observe
         post-commit values.
         """
+        if self.obs is not None:
+            self.obs.on_commit(self)
         self._exit_speculation()
+        if self.obs is not None:
+            self.obs.on_queue_settled(self)
 
     def abort_speculation(self) -> None:
         """Processor-initiated abort (resource fallback, deschedule):
         give up retained ownership, discard tracking state."""
-        if not self.speculating:
-            return
-        self._exit_speculation()
+        if self.obs is not None:
+            self.obs.on_abort(self)
+        if self.speculating:
+            self._exit_speculation()
+        if self.obs is not None:
+            self.obs.on_queue_settled(self)
 
     def _exit_speculation(self) -> None:
         for line in self._speculative_lines():
@@ -476,6 +484,8 @@ class CacheController:
         """Our request was refused: back off and re-arbitrate."""
         mshr = self.mshrs.get(request.line)
         if mshr is None or mshr.request.req_id != request.req_id:
+            if self.obs is not None:
+                self.obs.on_stale_nack(self, request)
             return
         self.stats.nacks_received += 1
         if self.obs is not None:
@@ -506,6 +516,8 @@ class CacheController:
             # request waited out the NACK.
             request.prio = self.policy.request_priority()
         self.bus.issue(request)
+        if self.obs is not None:
+            self.obs.on_request_reissued(self, request)
 
     def request_ordered(self, request: BusRequest, grant: State) -> None:
         """Our own request reached the global order point."""
@@ -518,6 +530,8 @@ class CacheController:
         """The bus forwarded a request to us: we were the line's
         order-owner at the request's order point and must (eventually)
         supply data."""
+        if self.obs is not None:
+            self.obs.on_forward(self, request)
         line_addr = request.line
         mshr = self.mshrs.get(line_addr)
         line = self.cache.lookup(line_addr)
@@ -529,6 +543,8 @@ class CacheController:
             # early from a leftover shared copy would reorder it ahead of
             # our exclusive request -- a lost update.
             self._chain_behind_miss(mshr, request)
+            if self.obs is not None:
+                self.obs.on_line_settled(self, line_addr)
             return
         # Remaining pending case: an *unordered* upgrade with valid data.
         # The incoming request was ordered first, so it must be served
@@ -544,6 +560,8 @@ class CacheController:
                 f"cpu{self.cpu_id}: forwarded {request!r} for a line we "
                 "neither hold nor await -- protocol invariant broken")
         self._resolve_obligation(request, line)
+        if self.obs is not None:
+            self.obs.on_line_settled(self, line_addr)
 
     def _resolve_obligation(self, request: BusRequest, line: Line) -> None:
         """Decide and act on an obligation we can satisfy with data."""
@@ -606,11 +624,13 @@ class CacheController:
         self.deferred.push(request, self.sim.now)
         self.cache.pin(request.line)
         self.stats.requests_deferred += 1
-        if self.monitor is not None:
-            self.monitor.on_defer(self, request)
         if self.obs is not None:
             self.obs.on_defer(self, request)
+        if self.monitor is not None:
+            self.monitor.on_defer(self, request)
         self._send_marker(request)
+        if self.obs is not None:
+            self.obs.on_queue_settled(self)
 
     def _send_marker(self, request: BusRequest) -> None:
         marker = Marker(line=request.line, sender=self.cpu_id,
@@ -685,11 +705,12 @@ class CacheController:
                 mshr.pass_through = True
                 self._handle_loss("probe-lost-pending", probe.line, probe.ts,
                                   probe.origin)
-            return
-        if self._conflicts_with_ts(probe.line, probe.ts):
+        elif self._conflicts_with_ts(probe.line, probe.ts):
             self.stats.probe_losses += 1
             self._handle_loss("probe-lost", probe.line, probe.ts,
                               probe.origin)
+        if self.obs is not None:
+            self.obs.on_line_settled(self, probe.line)
 
     def _conflicts_with_ts(self, line_addr: int,
                            ts: Optional[Timestamp]) -> bool:
@@ -707,6 +728,8 @@ class CacheController:
     def handle_invalidation(self, request: BusRequest) -> None:
         """We hold a shared copy being invalidated.  Invalidations cannot
         be deferred (Section 3.1.2): speculating sharers misspeculate."""
+        if self.obs is not None:
+            self.obs.on_invalidation(self, request)
         line = self.cache.lookup(request.line)
         self._clear_link(request.line)
         if line is not None and line.state.valid:
@@ -734,6 +757,8 @@ class CacheController:
         if self.monitor is not None:
             self.monitor.on_line_state(self, request.line)
         self._wake_watchers(request.line)
+        if self.obs is not None:
+            self.obs.on_line_settled(self, request.line)
 
     def upgrade_granted(self, request: BusRequest) -> None:
         """Our UPG completed at its order point (no data needed)."""
@@ -756,7 +781,11 @@ class CacheController:
         """The fill for our outstanding request arrived."""
         mshr = self.mshrs.get(request.line)
         if mshr is None or mshr.request.req_id != request.req_id:
-            return  # Stale delivery (request superseded); ignore.
+            # Stale delivery (request superseded); ignore.
+            if self.obs is not None:
+                self.obs.on_stale_data(self, request)
+                self.obs.on_line_settled(self, request.line)
+            return
         if self.obs is not None:
             self.obs.on_data(self, request)
         self.mshrs.release(request.line)
@@ -789,6 +818,8 @@ class CacheController:
         self._finish_request(request, list(mshr.waiters),
                              list(mshr.successors),
                              pass_through=mshr.pass_through)
+        if self.obs is not None:
+            self.obs.on_line_settled(self, request.line)
 
     def _finish_request(self, request: BusRequest,
                         waiters: list[Callable[[], None]],
@@ -855,6 +886,9 @@ class CacheController:
             self.on_conflict_ts(request.ts)
             self._handle_loss("conflict-at-service", request.line,
                               request.ts, request.requester)
+        if self.obs is not None:
+            self.obs.on_line_settled(self, request.line)
+            self.obs.on_queue_settled(self)
 
     def _handle_loss(self, reason: str, line_addr: int,
                      incoming_ts: Optional[Timestamp],
@@ -863,24 +897,26 @@ class CacheController:
         deferred queue in order), clear speculative state, restart.
 
         ``aborter`` is the cpu id whose request/probe caused the loss
-        (-1 when unattributable, e.g. relaxation revocation).  It is
-        consumed only by tap observers (the abort-attribution profiler)
-        via the ``loss`` tap arguments; nothing on the simulation path
-        reads it.  Call sites must pass it *positionally*: the tap shim
-        forwards only positional arguments to consumers.
+        (-1 when unattributable, e.g. relaxation revocation).  Only
+        observers (the abort-attribution profiler) read it; nothing on
+        the simulation path does.
         """
-        if not self.speculating:
-            return
-        if self.monitor is not None:
-            self.monitor.on_loss(self, reason, line_addr, incoming_ts)
-        for spec_line in self._speculative_lines():
-            spec_line.clear_speculative()
-        self._spec_touched.clear()
-        self.speculating = False
-        self.current_ts = None
-        self._service_deferred()
-        self.stats.misspeculations += 1
-        self.on_misspeculation(reason, line_addr)
+        if self.obs is not None:
+            self.obs.on_loss(self, reason, line_addr, incoming_ts, aborter)
+        if self.speculating:
+            if self.monitor is not None:
+                self.monitor.on_loss(self, reason, line_addr, incoming_ts)
+            for spec_line in self._speculative_lines():
+                spec_line.clear_speculative()
+            self._spec_touched.clear()
+            self.speculating = False
+            self.current_ts = None
+            self._service_deferred()
+            self.stats.misspeculations += 1
+            self.on_misspeculation(reason, line_addr)
+        if self.obs is not None:
+            self.obs.on_line_settled(self, line_addr)
+            self.obs.on_queue_settled(self)
 
     def _resource_overflow(self, line_addr: int) -> None:
         """A fill found no victim: drop speculation (resource fallback)."""
@@ -902,6 +938,8 @@ class CacheController:
         self.evicting[line.addr] = request
         self.stats.writebacks += 1
         self.bus.issue(request)
+        if self.obs is not None:
+            self.obs.on_writeback_issued(self, request)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "TLR" if self.tlr_enabled else "SLE"

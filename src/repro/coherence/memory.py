@@ -33,12 +33,21 @@ class ValueStore:
 
     def __init__(self):
         self._words: dict[int, int] = {}
+        # Optional observer (repro.obs.fanout); None in normal runs.
+        self.obs = None
 
     def read(self, addr: int) -> int:
         return self._words.get(addr, 0)
 
     def write(self, addr: int, value: int) -> None:
+        """A plain (non-transactional) architectural write."""
         self._words[addr] = value
+        if self.obs is not None:
+            self.obs.on_plain_write(self, addr, value)
+
+    def publish(self, words: dict[int, int]) -> None:
+        """A committed transaction's write set lands, atomically."""
+        self._words.update(words)
 
     def snapshot(self) -> dict[int, int]:
         """A copy of all written words (for checkers and tests)."""

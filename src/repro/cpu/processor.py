@@ -81,13 +81,8 @@ class Processor:
         self._pending_timer = None
         self.misspec_penalty = config.spec.misspec_penalty
         self._restart_streak = 0
-        # Observers called at each atomic commit with
-        # (cycle, cpu_id, {addr: value}) -- the committed write set.
-        # Used by linearizability checkers and analysis tools; empty in
-        # normal runs.
-        self.commit_listeners: list = []
-        # Optional metrics collector (repro.obs.MachineMetrics); None in
-        # normal runs so restarts pay only an attribute test.
+        # Optional observer (repro.obs.fanout); None in normal runs so
+        # each emit point pays only an attribute test.
         self.obs = None
         # Optional completion callback (the repro.sched engine refills a
         # freed CPU slot immediately instead of waiting for its next
@@ -271,6 +266,10 @@ class Processor:
             buffered = self.write_buffer.read(addr)
             if buffered is not None:
                 return buffered
+            value = self.store.read(addr)
+            if self.obs is not None:
+                self.obs.on_txn_read(self, addr, value)
+            return value
         return self.store.read(addr)
 
     def _charge_wait(self, issue_time: int, is_lock: bool) -> None:
@@ -614,10 +613,8 @@ class Processor:
     # ------------------------------------------------------------------
     def commit_transaction(self) -> None:
         """Atomic commit of the current lock-free transaction."""
-        if self.commit_listeners:
-            snapshot = self.write_buffer.snapshot()
-            for listener in self.commit_listeners:
-                listener(self.sim.now, self.cpu_id, snapshot)
+        if self.obs is not None:
+            self.obs.on_txn_commit(self)
         self.write_buffer.drain(self.store)
         self.controller.commit_speculation()
         self.spec.on_commit()
@@ -635,6 +632,8 @@ class Processor:
 
     def _on_misspeculation(self, reason: str, line_addr: int) -> None:
         """Controller (or self) reports the speculation died."""
+        if self.obs is not None:
+            self.obs.on_misspeculation(self, reason, line_addr)
         if not self.spec.active:
             return
         self.epoch += 1

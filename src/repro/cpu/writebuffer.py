@@ -57,10 +57,8 @@ class WriteBuffer:
         Returns the number of words written.  The caller performs this in
         a single simulation event, which is what makes the commit atomic.
         """
-        count = 0
-        for addr, value in self._words.items():
-            store.write(addr, value)
-            count += 1
+        count = len(self._words)
+        store.publish(self._words)
         self.clear()
         return count
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.cpu.isa import line_of
+from repro.obs.fanout import Observer, attach_observer
 from repro.sim.stats import SimStats
 from repro.sim.trace import Tracer
 
@@ -54,7 +55,7 @@ def line_conflict_profile(tracer: Tracer,
 
 
 @dataclass
-class CommitLog:
+class CommitLog(Observer):
     """Captures every transaction commit (time, cpu, write set)."""
 
     entries: list[tuple[int, int, dict[int, int]]] = field(
@@ -63,10 +64,12 @@ class CommitLog:
     @classmethod
     def attach(cls, machine: "Machine") -> "CommitLog":
         log = cls()
-        for processor in machine.processors:
-            processor.commit_listeners.append(
-                lambda t, cpu, wb: log.entries.append((t, cpu, wb)))
+        attach_observer(machine, log)
         return log
+
+    def on_txn_commit(self, processor) -> None:
+        self.entries.append((processor.sim.now, processor.cpu_id,
+                             processor.write_buffer.snapshot()))
 
     def footprint_histogram(self) -> Counter:
         """Distribution of committed write-set sizes in unique lines."""

@@ -64,11 +64,7 @@ class Machine:
         self.envs: list[ThreadEnv] = []
         # Preemptive-scheduler overlay (repro.sched): constructed inside
         # run_workload when config.sched is enabled, None otherwise.
-        # Observers (the flight recorder) append (time, kind, slot,
-        # thread) callbacks to sched_listeners at attach time; with the
-        # scheduler off nothing ever calls them.
         self.sched_engine = None
-        self.sched_listeners: list = []
         for cpu_id in range(config.num_cpus):
             controller = CacheController(cpu_id, self.sim, self.bus,
                                          self.datanet, config,

@@ -4,25 +4,30 @@ The paper's evaluation is an exercise in *explaining* performance --
 stall attribution, restart counts, deferral behaviour -- so the
 reproduction carries a first-class observability layer:
 
+* :mod:`repro.obs.fanout` -- the machine's one observation interface:
+  controllers, processors, the value store and the scheduler emit to
+  an ``obs`` slot at fixed points (``None`` in normal runs, one
+  attribute test per point); :class:`~repro.obs.fanout.Observer` names
+  the points and :class:`~repro.obs.fanout.Fanout` shares the slot
+  among several consumers.
 * :mod:`repro.obs.metrics` -- a dependency-free metrics registry
   (counters, gauges, fixed-bucket histograms) plus
-  :class:`~repro.obs.collect.MachineMetrics`, the collector that the
-  coherence controllers and processors publish into through gated
-  ``obs`` attributes (same pattern as the verify layer's ``monitor``
-  hook: ``None`` in normal runs, one attribute test on the hot path).
+  :class:`~repro.obs.collect.MachineMetrics`, the telemetry consumer
+  of the ``obs`` emit points.
 * span events live in :mod:`repro.sim.trace` (the :class:`Tracer`
   pairs txn-begin/commit, defer/service and request/data into duration
   spans for Perfetto).
 * :mod:`repro.obs.profile` -- the causal profiling layer: per-lock
   contention profiles (commit rates, abort causes, cycles lost,
   deferral waits) and the who-aborts-whom conflict matrix, built live
-  from the machine taps; :mod:`repro.obs.causal` rebuilds the identical
+  from the emit points; :mod:`repro.obs.causal` rebuilds the identical
   profile post-hoc from a v3 record log (kept out of this namespace to
   avoid an eager ``repro.record`` import).
 * :mod:`repro.harness.trend` diffs ``BENCH_*.json`` artifacts across
   commits (the ``repro trend`` command).
 """
 
+from repro.obs.fanout import Fanout, Observer, attach_observer
 from repro.obs.metrics import (DEPTH_BUCKETS, LATENCY_BUCKETS, RETRY_BUCKETS,
                                Histogram, MetricsRegistry,
                                openmetrics_from_dict, summarize_metrics)
@@ -34,8 +39,9 @@ from repro.obs.profile import (ABORT_CAUSES, LockProfiler, ProfileBuilder,
 
 __all__ = [
     "ABORT_CAUSES", "DEPTH_BUCKETS", "LATENCY_BUCKETS", "RETRY_BUCKETS",
-    "Histogram", "LockProfiler", "MetricsRegistry", "MachineMetrics",
-    "ProfileBuilder", "TxnTapFolder", "cause_of", "critical_path",
-    "describe_chain", "matrix_canonical_json", "openmetrics_from_dict",
-    "render_folded", "render_markdown", "summarize_metrics",
+    "Fanout", "Histogram", "LockProfiler", "MetricsRegistry",
+    "MachineMetrics", "Observer", "ProfileBuilder", "TxnTapFolder",
+    "attach_observer", "cause_of", "critical_path", "describe_chain",
+    "matrix_canonical_json", "openmetrics_from_dict", "render_folded",
+    "render_markdown", "summarize_metrics",
 ]

@@ -4,7 +4,7 @@ A v3 record log carries ``OP_TXN`` records -- normalized transaction
 begin/commit/abort events emitted by the *same*
 :class:`~repro.obs.profile.TxnTapFolder` that feeds the live profiler,
 written in tap order right behind the raw ``OP_TAP`` records they fold.
-Replaying them (plus the ``defer``/``service`` taps, whose dense
+Replaying them (plus the ``defer``/``service`` tap records, whose dense
 request refs pair each deferral push with its service) through a fresh
 :class:`~repro.obs.profile.ProfileBuilder` therefore reconstructs the
 live profile exactly: same conflict matrix, same histograms, same

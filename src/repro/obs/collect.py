@@ -1,11 +1,9 @@
 """MachineMetrics: the collector the simulated machine publishes into.
 
-Attachment follows the verify layer's ``monitor`` pattern: every
-:class:`~repro.coherence.controller.CacheController` and
-:class:`~repro.cpu.processor.Processor` carries an ``obs`` attribute
-that is ``None`` in normal runs; :meth:`MachineMetrics.attach` points
-them all at one collector, and each hook site pays a single attribute
-test when collection is off.
+:class:`MachineMetrics` is an :class:`~repro.obs.fanout.Observer`: it
+rides the machine's ``obs`` emit points (see :mod:`repro.obs.fanout`),
+alone or beside other consumers, and each emit point pays a single
+attribute test when nothing is attached.
 
 Sampling is **event-driven**, never timer-driven: a periodic
 self-rescheduling sampler event would keep the kernel's queue non-empty
@@ -25,6 +23,7 @@ from __future__ import annotations
 from collections import Counter as TallyCounter
 from typing import TYPE_CHECKING, Optional
 
+from repro.obs.fanout import Observer, attach_observer
 from repro.obs.metrics import (DEPTH_BUCKETS, LATENCY_BUCKETS, RETRY_BUCKETS,
                                MetricsRegistry)
 
@@ -35,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.machine import Machine
 
 
-class MachineMetrics:
+class MachineMetrics(Observer):
     """Collects conflict/latency telemetry from one machine run."""
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
@@ -45,8 +44,10 @@ class MachineMetrics:
         self._miss_open: dict[int, int] = {}          # req_id -> issue time
         self._defer_open: dict[int, int] = {}         # req_id -> defer time
         self._nack_retries: TallyCounter = TallyCounter()  # req_id -> nacks
-        self._marker_open: dict[int, list[int]] = {}  # req_id -> send times
-        self._probe_open: dict[tuple, list[int]] = {}  # (line,ts,origin)
+        # Unmatched send times, oldest first.  A key leaves with its last
+        # matched send, so each list holds only sends still in flight.
+        self._marker_open: dict[int, list[int]] = {}  # req_id
+        self._probe_open: dict[tuple, list[int]] = {}  # (line, ts, origin)
         # The hook-path instruments, resolved once: per-event
         # get-or-create registry lookups were visible in profiles.
         reg = self.registry
@@ -74,13 +75,9 @@ class MachineMetrics:
         self._restart_streak = reg.histogram("restart.streak", RETRY_BUCKETS)
 
     def attach(self, machine: "Machine") -> "MachineMetrics":
-        """Point every controller and processor at this collector.
-        Call before ``run_workload``."""
+        """Observe ``machine``.  Call before ``run_workload``."""
         self._machine = machine
-        for controller in machine.controllers:
-            controller.obs = self
-        for processor in machine.processors:
-            processor.obs = self
+        attach_observer(machine, self)
         return self
 
     # ------------------------------------------------------------------
@@ -135,6 +132,8 @@ class MachineMetrics:
         if sends:
             self._marker_received.inc()
             self._marker_latency.observe(controller.sim.now - sends.pop(0))
+            if not sends:
+                del self._marker_open[marker.req_id]
 
     def on_probe_sent(self, controller: "CacheController",
                       probe: "Probe") -> None:
@@ -144,10 +143,13 @@ class MachineMetrics:
 
     def on_probe(self, controller: "CacheController",
                  probe: "Probe") -> None:
-        sends = self._probe_open.get((probe.line, probe.ts, probe.origin))
+        key = (probe.line, probe.ts, probe.origin)
+        sends = self._probe_open.get(key)
         if sends:
             self._probe_received.inc()
             self._probe_latency.observe(controller.sim.now - sends.pop(0))
+            if not sends:
+                del self._probe_open[key]
 
     # ------------------------------------------------------------------
     # Processor hook

@@ -5,18 +5,18 @@ conflict counters; this module answers the questions those aggregates
 cannot: which **lock** pays for contention, which **cpu** aborted whom,
 and what each abort **cost**.  Three pieces:
 
-* :class:`TxnTapFolder` -- normalizes the shared machine tap stream
-  (:mod:`repro.sim.taps`) into transaction-lifecycle events
-  (begin/commit/abort, plus deferral push/service) on a sink.  The
-  *same* folder drives the live profiler and the flight recorder's
-  ``OP_TXN`` record emission, which is what makes the live conflict
-  matrix and the post-hoc one (:func:`repro.obs.causal.profile_from_log`)
-  byte-for-byte identical.
+* :class:`TxnTapFolder` -- an :class:`~repro.obs.fanout.Observer` that
+  normalizes the machine's ``obs`` emit points into transaction-
+  lifecycle events (begin/commit/abort, plus deferral push/service) on
+  a sink.  The *same* folder drives the live profiler and the flight
+  recorder's ``OP_TXN`` record emission, which is what makes the live
+  conflict matrix and the post-hoc one
+  (:func:`repro.obs.causal.profile_from_log`) byte-for-byte identical.
 * :class:`ProfileBuilder` -- the accumulator: per-lock attempt/commit/
   abort counts bucketed by cause, critical-section and abort-cost
   histograms, deferral wait histograms, the who-aborts-whom conflict
   matrix and a capped list of per-abort causal chains.
-* :class:`LockProfiler` -- the live tap consumer gated exactly like
+* :class:`LockProfiler` -- the live profiler, gated exactly like
   :class:`~repro.obs.collect.MachineMetrics`: a pure observer (no
   scheduling, no RNG, no machine mutation), so profiler-on runs stay
   bit-identical to profiler-off runs (the golden-fingerprint tests pin
@@ -36,6 +36,7 @@ import json
 from typing import TYPE_CHECKING, Optional
 
 from repro.cpu.isa import line_of
+from repro.obs.fanout import Observer, attach_observer
 from repro.obs.metrics import LATENCY_BUCKETS, RETRY_BUCKETS, Histogram
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -268,8 +269,8 @@ class ProfileBuilder:
         }
 
 
-class TxnTapFolder:
-    """Folds the raw tap stream into transaction events on ``sink``.
+class TxnTapFolder(Observer):
+    """Folds the machine's emit points into transaction events on a sink.
 
     The sink implements ``txn_begin(time, cpu, lock_line, pc,
     attempts)``, ``txn_commit(time, cpu)``, ``txn_abort(time, cpu,
@@ -278,83 +279,85 @@ class TxnTapFolder:
 
     Folding rules (mirroring the controller/processor wiring):
 
-    * ``txn-begin`` (``enter_speculation``) fires *after* the elision
-      checkpoint is pushed, so the root lock line, elision-site pc and
-      attempt count are read straight off
+    * ``on_txn_begin`` (``enter_speculation``) fires *after* the
+      elision checkpoint is pushed, so the root lock line, elision-site
+      pc and attempt count are read straight off
       ``machine.processors[cpu].spec.checkpoint``.
-    * an abort is the ``misspec`` tap (``_on_misspeculation``), which
-      carries the restart reason.  A controller-initiated loss fires
-      the ``loss`` tap first (same cycle, same cpu) with the conflicting
-      line and the aborter cpu; the folder stashes those and the
-      ``misspec`` event consumes the stash.  Resource aborts
-      (capacity/wb-overflow/non-silent-pair/deschedule) have no ``loss``
-      stash and no attributable aborter.
+    * an abort is ``on_misspeculation``, which carries the restart
+      reason.  A controller-initiated loss fires ``on_loss`` first
+      (same cycle, same cpu) with the conflicting line and the aborter
+      cpu; the folder stashes those and the misspeculation consumes the
+      stash.  Resource aborts (capacity/wb-overflow/non-silent-pair/
+      deschedule) have no loss stash and no attributable aborter.
     * a transaction terminated with the run (``terminate()``) never
-      fires ``misspec`` and stays open -- identical live and post-hoc.
+      misspeculates and stays open -- identical live and post-hoc.
     """
-
-    #: Tap kinds the folder consumes; everything else is ignored.
-    KINDS = frozenset({"txn-begin", "txn-commit", "misspec", "loss",
-                       "defer", "service"})
 
     def __init__(self, sink) -> None:
         self.sink = sink
         self._machine: Optional["Machine"] = None
         self._open: set[int] = set()
-        #: cpu -> (time, conflict_line, aborter) from the last loss tap.
+        #: cpu -> (time, conflict_line, aborter) from the last loss.
         self._loss: dict[int, tuple[int, int, int]] = {}
 
     def attach_machine(self, machine: "Machine") -> "TxnTapFolder":
         self._machine = machine
         return self
 
-    def on_tap(self, time: int, cpu: int, kind: str, args: tuple,
-               obj: object) -> None:
-        if kind == "txn-begin":
-            lock_line: Optional[int] = None
-            pc = ""
-            attempts = 1
-            if self._machine is not None:
-                checkpoint = self._machine.processors[cpu].spec.checkpoint
-                if checkpoint is not None and checkpoint.elisions:
-                    root = checkpoint.elisions[0]
-                    lock_line = line_of(root.lock_addr)
-                    pc = root.pc
-                    attempts = checkpoint.attempts
-            self._open.add(cpu)
-            self.sink.txn_begin(time, cpu, lock_line, pc, attempts)
-        elif kind == "txn-commit":
-            if cpu in self._open:
-                self._open.discard(cpu)
-                self.sink.txn_commit(time, cpu)
-        elif kind == "loss":
-            # Pre-call tap: the handler early-returns when not
-            # speculating, mirrored here by the open set.
-            if cpu in self._open:
-                aborter = args[3] if len(args) > 3 else -1
-                if aborter < 0 and isinstance(args[2], tuple):
-                    # A probe forwarded through the directory carries
-                    # origin=MEMORY, but its timestamp's second
-                    # component is the champion transaction's cpu.
-                    aborter = args[2][1]
-                self._loss[cpu] = (time, args[1], aborter)
-        elif kind == "misspec":
-            if cpu not in self._open:
-                return
-            reason = args[0]
-            conflict_line = args[1] if len(args) > 1 else 0
-            aborter = -1
-            stash = self._loss.pop(cpu, None)
-            if stash is not None and stash[0] == time:
-                conflict_line, aborter = stash[1], stash[2]
+    def on_txn_begin(self, controller, ts) -> None:
+        cpu = controller.cpu_id
+        lock_line: Optional[int] = None
+        pc = ""
+        attempts = 1
+        if self._machine is not None:
+            checkpoint = self._machine.processors[cpu].spec.checkpoint
+            if checkpoint is not None and checkpoint.elisions:
+                root = checkpoint.elisions[0]
+                lock_line = line_of(root.lock_addr)
+                pc = root.pc
+                attempts = checkpoint.attempts
+        self._open.add(cpu)
+        self.sink.txn_begin(controller.sim.now, cpu, lock_line, pc, attempts)
+
+    def on_txn_commit(self, processor) -> None:
+        cpu = processor.cpu_id
+        if cpu in self._open:
             self._open.discard(cpu)
-            self.sink.txn_abort(time, cpu, reason,
-                                conflict_line if conflict_line else None,
-                                aborter)
-        elif kind == "defer":
-            self.sink.defer_push(time, cpu, args[0].req_id)
-        elif kind == "service":
-            self.sink.defer_service(time, args[0].req_id)
+            self.sink.txn_commit(processor.sim.now, cpu)
+
+    def on_loss(self, controller, reason, line_addr, ts, aborter) -> None:
+        # The handler early-returns when not speculating, mirrored here
+        # by the open set.
+        cpu = controller.cpu_id
+        if cpu in self._open:
+            if aborter < 0 and ts is not None:
+                # A probe forwarded through the directory carries
+                # origin=MEMORY, but its timestamp's second component
+                # is the champion transaction's cpu.
+                aborter = ts[1]
+            self._loss[cpu] = (controller.sim.now, line_addr, aborter)
+
+    def on_misspeculation(self, processor, reason, line_addr) -> None:
+        cpu = processor.cpu_id
+        if cpu not in self._open:
+            return
+        time = processor.sim.now
+        conflict_line = line_addr
+        aborter = -1
+        stash = self._loss.pop(cpu, None)
+        if stash is not None and stash[0] == time:
+            conflict_line, aborter = stash[1], stash[2]
+        self._open.discard(cpu)
+        self.sink.txn_abort(time, cpu, reason,
+                            conflict_line if conflict_line else None,
+                            aborter)
+
+    def on_defer(self, controller, request) -> None:
+        self.sink.defer_push(controller.sim.now, controller.cpu_id,
+                             request.req_id)
+
+    def on_obligation_serviced(self, controller, request) -> None:
+        self.sink.defer_service(controller.sim.now, request.req_id)
 
 
 class LockProfiler:
@@ -362,8 +365,8 @@ class LockProfiler:
 
     Attach before ``run_workload`` (gated on ``config.metrics``, same
     as :class:`~repro.obs.collect.MachineMetrics`); call
-    :meth:`snapshot` after the run.  Being a pure tap observer, it
-    cannot move the schedule: profiler-on and profiler-off runs are
+    :meth:`snapshot` after the run.  Being a pure observer, it cannot
+    move the schedule: profiler-on and profiler-off runs are
     bit-identical.
     """
 
@@ -372,9 +375,7 @@ class LockProfiler:
         self._folder = TxnTapFolder(self.builder)
 
     def attach(self, machine: "Machine") -> "LockProfiler":
-        from repro.sim.taps import MachineTaps
-        self._folder.attach_machine(machine)
-        MachineTaps.ensure(machine).add_consumer(self._folder)
+        attach_observer(machine, self._folder.attach_machine(machine))
         return self
 
     def snapshot(self) -> dict:

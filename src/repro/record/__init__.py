@@ -5,8 +5,8 @@ The correctness-tooling backbone for schedule-level debugging:
 * :mod:`repro.record.format` -- the compact, versioned, streamable
   binary log format (write, read, diff);
 * :mod:`repro.record.recorder` -- :class:`FlightRecorder`, the pure
-  observer that taps the kernel and machine without perturbing the
-  schedule, and :func:`record_run`;
+  observer of the kernel's dispatches and the machine's ``obs`` emit
+  points, which never perturbs the schedule, and :func:`record_run`;
 * :mod:`repro.record.replay` -- the replay-purity check
   (:func:`replay_log`) with first-divergence bisection;
 * :mod:`repro.record.timeline` -- time-travel state reconstruction

@@ -7,10 +7,11 @@ zero-cost instrumentation surfaces:
   low-cardinality label -- installing it does *not* flip
   ``verbose_labels``, so call sites compute exactly what they compute
   in an unrecorded run and the schedule is pinned bit-identical);
-* the shared machine tap layer (:class:`repro.sim.taps.MachineTaps`)
-  for bus transactions, coherence handlers, deferral edits and
-  transaction begin/commit/abort/restart, including post-call state
-  reads through the side-effect-free ``cache.peek``.
+* the machine's ``obs`` emit points (:mod:`repro.obs.fanout`): each
+  entry point becomes an ``OP_TAP`` record, each scheduler switch an
+  ``OP_SCHED`` record, and the two ``settled`` exit points state and
+  deferral-depth records when they moved (read through the
+  side-effect-free ``cache.peek``).
 
 Two normalizations keep logs byte-reproducible across processes:
 request ids come from a process-global counter, so the recorder maps
@@ -29,22 +30,13 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.harness.runner import RunResult, result_fingerprint
 from repro.harness.spec import FINGERPRINT_VERSION, RunSpec
+from repro.obs.fanout import EventObserver, attach_observer
+from repro.obs.profile import TxnTapFolder
 from repro.record.format import (DEFER_DRAIN, DEFER_PUSH, LOG_SCHEMA,
                                  STATE_ABSENT, STATE_NAMES, LogWriter)
-from repro.sim.taps import MachineTaps
-from repro.sim.trace import _line_of_args
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.machine import Machine
-
-#: Tap kinds after which a cache line's coherence state may have
-#: changed; the recorder re-reads the touched line post-call and logs a
-#: state record when it moved.
-_STATE_KINDS = frozenset({"data", "invalidation", "forward", "probe",
-                          "service", "loss"})
-
-#: Tap kinds after which the deferral queue's depth may have changed.
-_DEFER_KINDS = frozenset({"defer", "service", "commit", "abort", "loss"})
 
 _STATE_INDEX = {name: index for index, name in enumerate(STATE_NAMES)}
 
@@ -54,7 +46,7 @@ class _TxnWriterSink:
     ``OP_TXN`` records on the recorder's writer.
 
     Deferral push/service events are deliberate no-ops here: the raw
-    ``defer``/``service`` taps are already in the log as ``OP_TAP``
+    ``defer``/``service`` entries are already in the log as ``OP_TAP``
     records carrying the dense request ref, and the post-hoc fold
     (:func:`repro.obs.causal.profile_from_log`) rebuilds wait times
     from those -- duplicating them as txn records would bloat the log
@@ -98,7 +90,7 @@ def artifact_dir() -> str:
     return path
 
 
-class FlightRecorder:
+class FlightRecorder(EventObserver):
     """Records one machine's execution into a binary log stream.
 
     ``harness`` describes how the run is being driven (``{"kind":
@@ -143,24 +135,17 @@ class FlightRecorder:
     # Attachment
     # ------------------------------------------------------------------
     def attach(self, machine: "Machine") -> "FlightRecorder":
-        """Install the kernel dispatch hook and register on the shared
-        tap layer.  Call before ``run_workload``."""
-        from repro.obs.profile import TxnTapFolder
-
+        """Install the kernel dispatch hook and observe ``machine``.
+        Call before ``run_workload``."""
         self._machine = machine
         machine.sim.on_dispatch = self._on_dispatch
-        taps = MachineTaps.ensure(machine).add_consumer(self)
-        # The txn folder runs *after* the raw-tap consumer above, so
-        # each OP_TXN record lands right behind the OP_TAP record of
-        # the event it folds -- a deterministic interleaving the
-        # post-hoc profiler relies on.
-        taps.add_consumer(
-            TxnTapFolder(_TxnWriterSink(self)).attach_machine(machine))
-        # Scheduler switch-in/out/migration events (repro.sched) become
-        # OP_SCHED records.  With the scheduler off (the default) the
-        # engine is never constructed, nothing ever calls the listener,
-        # and the record stream is byte-identical to a pre-sched log.
-        machine.sched_listeners.append(self._on_sched)
+        attach_observer(machine, self)
+        # The txn folder attaches *after* the recorder, so each OP_TXN
+        # record lands right behind the OP_TAP record of the event it
+        # folds -- a deterministic interleaving the post-hoc profiler
+        # relies on.
+        attach_observer(machine, TxnTapFolder(
+            _TxnWriterSink(self)).attach_machine(machine))
         return self
 
     # ------------------------------------------------------------------
@@ -176,7 +161,7 @@ class FlightRecorder:
         self._writer.dispatch(time, label_id)
 
     # ------------------------------------------------------------------
-    # Machine taps
+    # Emit points
     # ------------------------------------------------------------------
     def _drop(self, kind: str) -> bool:
         if self.capacity is not None and self._writer.records >= self.capacity:
@@ -186,73 +171,57 @@ class FlightRecorder:
             return True
         return False
 
-    def _ref_id(self, req_id: Optional[int]) -> Optional[int]:
-        """Dense, first-seen-order request id (the raw counter is
-        process-global and would break byte reproducibility)."""
-        if req_id is None:
-            return None
-        dense = self._refs.get(req_id)
-        if dense is None:
-            dense = len(self._refs) + 1
-            self._refs[req_id] = dense
-        return dense
-
-    def on_tap(self, time: int, cpu: int, kind: str, args: tuple,
-               obj: object) -> None:
+    def on_event(self, component, cpu: int, kind: str,
+                 line: Optional[int], message=None,
+                 reason: Optional[str] = None, ts=None,
+                 aborter: int = -1) -> None:
+        """Every entry point becomes one ``OP_TAP`` record."""
         if self._drop(kind):
             return
         kind_id = self._kind_ids.get(kind)
         if kind_id is None:
             kind_id = self._writer.intern(kind)
             self._kind_ids[kind] = kind_id
-        if kind == "request":
-            request = args[0]
-            line: Optional[int] = request.line
-            ref = self._ref_id(request.req_id)
-        else:
-            line = _line_of_args(args, kind)
-            ref = None
-            for arg in args:
-                req_id = getattr(arg, "req_id", None)
-                if isinstance(req_id, int):
-                    ref = self._ref_id(req_id)
-                    break
-        self._writer.tap(time, cpu, kind_id, line, ref)
+        ref = None
+        if message is not None:
+            # Dense, first-seen-order request id: the raw counter is
+            # process-global and would break byte reproducibility.
+            ref = self._refs.setdefault(message.req_id, len(self._refs) + 1)
+        self._writer.tap(component.sim.now, cpu, kind_id, line, ref)
 
-    def _on_sched(self, time: int, kind: int, slot: int,
-                  thread: int) -> None:
+    def on_sched_switch(self, kind: int, slot: int, thread: int) -> None:
         if self._drop("sched"):
             return
-        self._writer.sched(time, kind, slot, thread)
+        self._writer.sched(self._machine.sim.now, kind, slot, thread)
 
-    def on_tap_post(self, time: int, cpu: int, kind: str, args: tuple,
-                    obj: object) -> None:
-        if kind in _STATE_KINDS:
-            line_addr = _line_of_args(args, kind)
-            cache = getattr(obj, "cache", None)
-            if line_addr is not None and cache is not None:
-                if not self._drop("state"):
-                    line = cache.peek(line_addr)
-                    if line is None:
-                        snapshot = (STATE_ABSENT, 0)
-                    else:
-                        flags = (1 if line.accessed else 0) | (
-                            2 if line.spec_written else 0)
-                        snapshot = (_STATE_INDEX[line.state.value], flags)
-                    key = (cpu, line_addr)
-                    if self._line_states.get(key) != snapshot:
-                        self._line_states[key] = snapshot
-                        self._writer.state(time, cpu, line_addr,
-                                           snapshot[0], snapshot[1])
-        if kind in _DEFER_KINDS:
-            deferred = getattr(obj, "deferred", None)
-            if deferred is not None and not self._drop("defer-edit"):
-                depth = len(deferred)
-                known = self._defer_depth.get(cpu, 0)
-                if depth != known:
-                    self._defer_depth[cpu] = depth
-                    op = DEFER_PUSH if depth > known else DEFER_DRAIN
-                    self._writer.defer_edit(time, cpu, op, depth)
+    def on_line_settled(self, controller, line_addr: int) -> None:
+        """Log ``line_addr``'s state on this cpu when it moved."""
+        if self._drop("state"):
+            return
+        line = controller.cache.peek(line_addr)
+        if line is None:
+            snapshot = (STATE_ABSENT, 0)
+        else:
+            flags = (1 if line.accessed else 0) | (
+                2 if line.spec_written else 0)
+            snapshot = (_STATE_INDEX[line.state.value], flags)
+        key = (controller.cpu_id, line_addr)
+        if self._line_states.get(key) != snapshot:
+            self._line_states[key] = snapshot
+            self._writer.state(controller.sim.now, controller.cpu_id,
+                               line_addr, snapshot[0], snapshot[1])
+
+    def on_queue_settled(self, controller) -> None:
+        """Log this cpu's deferred-queue depth when it moved."""
+        if self._drop("defer-edit"):
+            return
+        cpu = controller.cpu_id
+        depth = len(controller.deferred)
+        known = self._defer_depth.get(cpu, 0)
+        if depth != known:
+            self._defer_depth[cpu] = depth
+            op = DEFER_PUSH if depth > known else DEFER_DRAIN
+            self._writer.defer_edit(controller.sim.now, cpu, op, depth)
 
     # ------------------------------------------------------------------
     # Finish

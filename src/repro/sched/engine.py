@@ -38,8 +38,8 @@ Mechanism notes (the invariants tests rely on):
   happens) and to the obs registry via the attached
   ``MachineMetrics``; per-thread on-CPU cycles accumulate in
   :attr:`oncpu` for per-thread latency attribution at finalize.
-* **Record.**  Listeners (``machine.sched_listeners``) receive
-  ``(time, kind, slot, thread)`` for every switch-in/out/migration;
+* **Record.**  Every switch-in/out/migration is emitted to the
+  machine's ``obs`` slot as ``on_sched_switch(kind, slot, thread)``;
   the flight recorder turns them into ``OP_SCHED`` records so replay
   can answer "who was on CPU at cycle T".
 """
@@ -72,8 +72,7 @@ class SchedEngine:
                                    cfg.quantum)
         self.migrate = cfg.migrate
         self.stats = machine.stats
-        self.listeners = machine.sched_listeners
-        self.obs = None                     # MachineMetrics, if attached
+        self.obs = None                     # the machine's observer
 
         self.running: list[Optional[int]] = [None] * self.slots
         self.ran_since: list[int] = [0] * self.slots
@@ -163,8 +162,8 @@ class SchedEngine:
         if was_speculating:
             self.context_switch_aborts += 1
             self.stats.extra["sched.context_switch_aborts"] += 1
-        self._emit(SCHED_OUT, slot, thread)
         if self.obs is not None:
+            self.obs.on_sched_switch(SCHED_OUT, slot, thread)
             self.obs.on_sched_preempt(slot, thread, ran, was_speculating)
 
     def _dispatch(self, slot: int, initial: bool = False) -> None:
@@ -177,14 +176,15 @@ class SchedEngine:
             delay += self.cfg.migration_penalty
             self.migrations += 1
             self.stats.extra["sched.migrations"] += 1
-            self._emit(SCHED_MIGRATE, slot, thread)
             if self.obs is not None:
+                self.obs.on_sched_switch(SCHED_MIGRATE, slot, thread)
                 self.obs.on_sched_migrate(thread, prev, slot)
         self.last_slot[thread] = slot
         self.running[slot] = thread
         self.thread_slot[thread] = slot
         self.ran_since[slot] = self.sim.now + delay
-        self._emit(SCHED_IN, slot, thread)
+        if self.obs is not None:
+            self.obs.on_sched_switch(SCHED_IN, slot, thread)
         if delay:
             self.sim.schedule(delay, self._resume, thread,
                               label=f"sched-switch{slot}")
@@ -208,16 +208,13 @@ class SchedEngine:
             return
         self.oncpu[thread] += max(0, self.sim.now - self.ran_since[slot])
         self.running[slot] = None
-        self._emit(SCHED_OUT, slot, thread)
+        if self.obs is not None:
+            self.obs.on_sched_switch(SCHED_OUT, slot, thread)
         # Fast refill: do not leave the slot idle until the next tick.
         if self._finished < self.num_threads:
             self._dispatch(slot)
 
     # ------------------------------------------------------------------
-
-    def _emit(self, kind: int, slot: int, thread: int) -> None:
-        for listener in self.listeners:
-            listener(self.sim.now, kind, slot, thread)
 
     def snapshot(self) -> dict:
         """Accounting summary for obs finalize and tests."""

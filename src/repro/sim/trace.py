@@ -6,12 +6,11 @@ filtering by line or CPU, and renders a readable interleaving -- the
 tool that found most protocol bugs during this reproduction's own
 development, packaged for users debugging their workloads.
 
-Attach with :meth:`Tracer.attach`; it registers on the machine's shared
-tap layer (:class:`repro.sim.taps.MachineTaps`), which wraps the
-relevant controller and processor entry points non-invasively (no hooks
-are needed in the hot path when tracing is off).  The flight recorder
-(:mod:`repro.record`) rides the same taps, so attaching both installs
-one set of wrappers, and each consumer keeps its own drop accounting.
+Attach with :meth:`Tracer.attach`; the tracer is an
+:class:`~repro.obs.fanout.EventObserver` on the machine's ``obs`` emit
+points, beside any other consumer (the flight recorder, the profiler),
+each keeping its own drop accounting.  An untraced run pays one
+attribute test per emit point.
 
 Besides instant events the tracer pairs matching begin/end instants
 into **span events** (:class:`SpanEvent`):
@@ -36,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
-from repro.sim.taps import CONTROLLER_HOOKS, MachineTaps
+from repro.obs.fanout import EventObserver, attach_observer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.machine import Machine
@@ -88,7 +87,7 @@ _SPAN_CLOSERS = {"commit": ("txn", "commit"), "abort": ("txn", "abort"),
                  "data": ("request", "")}
 
 
-class Tracer:
+class Tracer(EventObserver):
     """Records controller/processor events from one machine.
 
     ``capacity`` bounds the instant-event buffer.  The default policy
@@ -98,10 +97,6 @@ class Tracer:
     the *end* of a long run.  Dropped events are tallied per kind in
     :attr:`dropped_by_kind` either way.
     """
-
-    #: Kept as a class attribute for backward compatibility; the
-    #: authoritative mapping lives in :mod:`repro.sim.taps`.
-    CONTROLLER_HOOKS = CONTROLLER_HOOKS
 
     def __init__(self, capacity: int = 100_000, ring: bool = False):
         self.capacity = capacity
@@ -120,26 +115,30 @@ class Tracer:
     # Attachment
     # ------------------------------------------------------------------
     def attach(self, machine: "Machine") -> "Tracer":
-        """Register on the machine's shared tap layer (installing it if
-        this is the first consumer).  Call before ``run_workload``."""
+        """Observe ``machine``.  Call before ``run_workload``."""
         self._machine = machine
-        MachineTaps.ensure(machine).add_consumer(self)
+        attach_observer(machine, self)
         return self
 
-    def on_tap(self, time: int, cpu: int, kind: str, args: tuple,
-               obj: object) -> None:
-        """Tap-consumer entry point (see :class:`MachineTaps`)."""
-        if kind == "request":
-            request = args[0]
-            self.record(time, cpu, kind, request.line, repr(request),
-                        ref=request.req_id)
-            return
-        # loss/misspec carry the restart reason first; threading it
-        # through lets txn spans say *why* they aborted.
-        reason = (args[0] if kind in ("loss", "misspec") and args
-                  and isinstance(args[0], str) else None)
-        self.record(time, cpu, kind, _line_of_args(args, kind),
-                    _describe(args), ref=_ref_of_args(args),
+    def on_event(self, component, cpu: int, kind: str,
+                 line: Optional[int], message=None,
+                 reason: Optional[str] = None, ts=None,
+                 aborter: int = -1) -> None:
+        """Every entry point becomes an instant event.  The restart
+        reason rides along so txn spans say *why* they aborted; a loss
+        shows its aborter only when it carries no timestamp."""
+        ref = None
+        if message is not None:
+            detail = repr(message)
+            ref = message.req_id
+        else:
+            parts = [] if reason is None else [repr(reason), repr(line)]
+            if ts is not None:
+                parts.append(repr(ts))
+            elif aborter != -1:
+                parts.append(repr(aborter))
+            detail = " ".join(parts)
+        self.record(component.sim.now, cpu, kind, line, detail, ref=ref,
                     reason=reason)
 
     # ------------------------------------------------------------------
@@ -194,7 +193,7 @@ class Tracer:
             return
         if kind == "misspec" and reason is not None:
             # A resource fallback closes its span at the preceding
-            # "abort" tap, before the restart reason exists; the
+            # "abort" event, before the restart reason exists; the
             # misspec that follows in the same cycle patches it in.
             for span in reversed(self.spans):
                 if span.cpu != cpu or span.kind != "txn":
@@ -334,42 +333,3 @@ class Tracer:
             json.dump({"traceEvents": payload, "displayTimeUnit": "ms"},
                       fh)
         return len(events)
-
-
-#: Hooked methods that carry a bare-``int`` cache line at a known
-#: positional index (every other hook's line rides on a message
-#: object's ``.line`` attribute).  ``_handle_loss(reason, line, ts)``
-#: and ``_on_misspeculation(reason, line)`` both carry it second.
-_INT_LINE_POS = {"loss": 1, "misspec": 1}
-
-
-def _line_of_args(args, kind: Optional[str] = None) -> Optional[int]:
-    for arg in args:
-        line = getattr(arg, "line", None)
-        if isinstance(line, int):
-            return line
-    # Bare ints are accepted only from positions known to carry a line
-    # address: an arbitrary int argument (a timestamp component, a
-    # count) must not be misattributed as a cache line.
-    pos = _INT_LINE_POS.get(kind)
-    if pos is not None and pos < len(args) and isinstance(args[pos], int):
-        return args[pos]
-    return None
-
-
-def _ref_of_args(args) -> Optional[int]:
-    """The request id carried by the first message argument, if any
-    (used to pair defer/service and request/data spans)."""
-    for arg in args:
-        req_id = getattr(arg, "req_id", None)
-        if isinstance(req_id, int):
-            return req_id
-    return None
-
-
-def _describe(args) -> str:
-    parts = []
-    for arg in args:
-        if isinstance(arg, (str, int, tuple)) or hasattr(arg, "req_id"):
-            parts.append(repr(arg))
-    return " ".join(parts[:3])

@@ -6,13 +6,14 @@ set it published, and its commit instant -- plus the chronological log
 of every non-transactional architectural write, so the whole run can be
 replayed against a sequential reference.
 
-:class:`FootprintRecorder` collects all of that **non-invasively**, in
-the style of :meth:`repro.sim.trace.Tracer.attach`: it wraps the
-processors' architectural-read path and commit entry point and the
-machine's :class:`~repro.coherence.memory.ValueStore` write path with
-recording shims.  Nothing in the hot path changes when no recorder is
-attached, and the wrapped run is bit-identical to an unwrapped one (the
-shims only observe).
+:class:`FootprintRecorder` collects all of that **non-invasively**: it
+is an :class:`~repro.obs.fanout.Observer` on three of the machine's
+``obs`` emit points -- a transactional architectural read, a commit
+before the write buffer drains, and a plain
+:class:`~repro.coherence.memory.ValueStore` write (committed write sets
+land through ``ValueStore.publish``, which emits nothing).  An
+unobserved run pays one attribute test per point, and an observed run
+is bit-identical to a bare one (the hooks only read).
 
 Epoch tagging gives failure atomicity for free: read observations carry
 the processor's squash epoch, and a commit keeps only observations from
@@ -22,14 +23,16 @@ exactly as the hardware discards them.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.coherence.messages import Timestamp
 from repro.cpu.isa import line_of
+from repro.obs.fanout import Observer, attach_observer
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.coherence.memory import ValueStore
+    from repro.cpu.processor import Processor
     from repro.harness.machine import Machine
 
 
@@ -88,7 +91,7 @@ PLAIN_WRITE = "w"
 COMMIT = "c"
 
 
-class FootprintRecorder:
+class FootprintRecorder(Observer):
     """Records commit-ordered transaction footprints from one machine."""
 
     def __init__(self):
@@ -104,88 +107,52 @@ class FootprintRecorder:
         self._last_line_writer: dict[int, Optional[int]] = {}
         # line -> number of plain writes seen (the line's current era).
         self._line_era: dict[int, int] = {}
-        self._in_commit = False
 
-    # ------------------------------------------------------------------
-    # Attachment
-    # ------------------------------------------------------------------
     def attach(self, machine: "Machine") -> "FootprintRecorder":
-        """Wrap the machine's processors and value store with recording
-        shims.  Call before ``run_workload``."""
+        """Observe ``machine``.  Call before ``run_workload``."""
         self._machine = machine
-        for processor in machine.processors:
-            self._wrap_processor(processor)
-        self._wrap_store(machine)
+        attach_observer(machine, self)
         return self
 
-    def _wrap_processor(self, processor) -> None:
-        cpu = processor.cpu_id
-        self._pending[cpu] = []
-        original_read = processor._arch_read
-        original_commit = processor.commit_transaction
+    def on_txn_read(self, processor: "Processor", addr: int,
+                    value: int) -> None:
+        pending = self._pending.setdefault(processor.cpu_id, [])
+        if pending and pending[-1].epoch != processor.epoch:
+            # A restart squashed the previous attempt's reads.
+            pending.clear()
+        line = line_of(addr)
+        pending.append(ReadObservation(
+            addr=addr, value=value, line=line,
+            writer=self._last_writer.get(addr),
+            line_writer=self._last_line_writer.get(line),
+            epoch=processor.epoch, time=processor.sim.now,
+            era=self._line_era.get(line, 0)))
 
-        @functools.wraps(original_read)
-        def arch_read(addr: int):
-            value = original_read(addr)
-            if (processor.spec.active
-                    and processor.write_buffer.read(addr) is None):
-                pending = self._pending[cpu]
-                if pending and pending[-1].epoch != processor.epoch:
-                    # A restart squashed the previous attempt's reads.
-                    pending.clear()
-                pending.append(ReadObservation(
-                    addr=addr, value=value, line=line_of(addr),
-                    writer=self._last_writer.get(addr),
-                    line_writer=self._last_line_writer.get(line_of(addr)),
-                    epoch=processor.epoch, time=processor.sim.now,
-                    era=self._line_era.get(line_of(addr), 0)))
-            return value
+    def on_txn_commit(self, processor: "Processor") -> None:
+        # The write buffer has not drained yet: it is the write set.
+        writes = processor.write_buffer.snapshot()
+        epoch = processor.epoch
+        reads = [obs for obs in self._pending.pop(processor.cpu_id, [])
+                 if obs.epoch == epoch]
+        txn = CommittedTxn(txn_id=len(self.committed), cpu=processor.cpu_id,
+                           ts=processor.controller.current_ts,
+                           commit_time=processor.sim.now,
+                           reads=reads, writes=writes,
+                           line_eras={
+                               line_of(addr): self._line_era.get(
+                                   line_of(addr), 0)
+                               for addr in writes})
+        self.committed.append(txn)
+        self.log.append((COMMIT, txn.txn_id))
+        for addr in writes:
+            self._last_writer[addr] = txn.txn_id
+            self._last_line_writer[line_of(addr)] = txn.txn_id
 
-        @functools.wraps(original_commit)
-        def commit_transaction():
-            # Snapshot *before* the original drains the write buffer.
-            ts = processor.controller.current_ts
-            writes = processor.write_buffer.snapshot()
-            epoch = processor.epoch
-            reads = [obs for obs in self._pending[cpu]
-                     if obs.epoch == epoch]
-            self._pending[cpu] = []
-            txn = CommittedTxn(txn_id=len(self.committed), cpu=cpu, ts=ts,
-                               commit_time=processor.sim.now,
-                               reads=reads, writes=writes,
-                               line_eras={
-                                   line_of(addr): self._line_era.get(
-                                       line_of(addr), 0)
-                                   for addr in writes})
-            self.committed.append(txn)
-            self.log.append((COMMIT, txn.txn_id))
-            self._in_commit = True
-            try:
-                original_commit()
-            finally:
-                self._in_commit = False
-            for addr in writes:
-                self._last_writer[addr] = txn.txn_id
-                self._last_line_writer[line_of(addr)] = txn.txn_id
-
-        processor._arch_read = arch_read
-        processor.commit_transaction = commit_transaction
-
-    def _wrap_store(self, machine: "Machine") -> None:
-        store = machine.store
-        sim = machine.sim
-        original_write = store.write
-
-        @functools.wraps(original_write)
-        def write(addr: int, value) -> None:
-            original_write(addr, value)
-            if self._in_commit:
-                return  # commit drains are logged as one atomic entry
-            self.plain_writes += 1
-            self.log.append((PLAIN_WRITE, sim.now, addr, value))
-            self._last_writer[addr] = None
-            self._last_line_writer[line_of(addr)] = None
-            line = line_of(addr)
-            self._line_era[line] = self._line_era.get(line, 0) + 1
-
-        store.write = write
+    def on_plain_write(self, store: "ValueStore", addr: int,
+                       value: int) -> None:
+        self.plain_writes += 1
+        self.log.append((PLAIN_WRITE, self._machine.sim.now, addr, value))
+        line = line_of(addr)
+        self._last_writer[addr] = None
+        self._last_line_writer[line] = None
+        self._line_era[line] = self._line_era.get(line, 0) + 1

@@ -2,13 +2,14 @@
 
 Critical sections overlap in physical time, but each must appear to be
 inserted atomically and instantly into one global order.  The commit
-listeners expose each transaction's commit instant and committed write
-set; replaying the commit log in commit order against a sequential
+log (an ``obs`` consumer) exposes each transaction's commit instant and
+committed write set; replaying it in commit order against a sequential
 model verifies the global order exists and matches commit time.
 """
 
 import pytest
 
+from repro.harness.analysis import CommitLog
 from repro.harness.config import SyncScheme
 from repro.harness.machine import Machine
 from repro.workloads.microbench import linked_list, single_counter
@@ -19,11 +20,7 @@ HEAD_OFFSET, TAIL_OFFSET = 1, 2  # relative line layout; read from meta
 
 
 def _attach_log(machine: Machine):
-    log = []
-    for processor in machine.processors:
-        processor.commit_listeners.append(
-            lambda t, cpu, wb: log.append((t, cpu, wb)))
-    return log
+    return CommitLog.attach(machine).entries
 
 
 class TestCounterLinearizability:

@@ -17,6 +17,7 @@ The load-bearing contracts:
   real machine and catch an injected conflict-handling bug.
 """
 
+import hashlib
 import json
 import threading
 import urllib.error
@@ -41,6 +42,20 @@ from repro.workloads.litmus import LITMUS_WORKLOADS
 # Pinned by tests/integration/test_policy_lab.py on the pre-refactor
 # tree; the recorder must reproduce them bit-for-bit with recording ON.
 from tests.integration.test_policy_lab import GOLDEN_DEFAULT
+
+# sha256 of record_run(_spec("linked-list", ...)).log, by (protocol,
+# policy): captured before the observers moved onto explicit ``obs``
+# emit points, which must reproduce them byte for byte.
+LOG_DIGESTS = {
+    ("snoop", "timestamp"):
+        "581f931a7958041a49073d75e195229f10df46bdf17830432b27d51fd6489c40",
+    ("snoop", "nack"):
+        "4452f84f196d31418dd112fede878e35937ec3ef43fa19c892fe23c38274fa50",
+    ("directory", "timestamp"):
+        "fdddb713522c2bc513cd69176bb438b21dc2dd17c04cda39522ce6b20ec8a673",
+    ("directory", "nack"):
+        "e6e72f64906356c8e154de93ef0e3100d09a3d5f2d2a3048a4524e627841674c",
+}
 
 
 def _spec(workload="single-counter", *, policy=None, protocol="snoop",
@@ -81,6 +96,16 @@ class TestRecordReplayMatrix:
         assert recorded.fingerprint == result_fingerprint(bare), (
             f"{policy}/{protocol}: attaching the recorder changed "
             f"the schedule")
+
+    @pytest.mark.parametrize("policy", ["timestamp", "nack"])
+    @pytest.mark.parametrize("protocol", ["snoop", "directory"])
+    def test_log_bytes_match_pinned_digest(self, policy, protocol):
+        """The linked-list log bytes themselves, captured while the
+        recorder still observed the machine through method shims."""
+        recorded = record_run(_spec("linked-list", policy=policy,
+                                    protocol=protocol))
+        digest = hashlib.sha256(recorded.log).hexdigest()
+        assert digest == LOG_DIGESTS[(protocol, policy)]
 
     def test_record_on_matches_pinned_goldens(self):
         """The strongest record-off ≡ record-on pin: recorded runs

@@ -302,31 +302,35 @@ class TestTracerRingMode:
         assert max(e.time for e in tracer.events) < machine.sim.now // 2
 
 
-class TestLineOfArgs:
-    def test_message_line_attribute_wins(self):
-        from repro.sim.trace import _line_of_args
+class TestTracerLines:
+    """Each emit point hands the tracer its line explicitly."""
 
-        class Msg:
-            line = 0x80
-        assert _line_of_args((Msg(),)) == 0x80
+    def _traced(self):
+        machine = Machine(small_config(4, SyncScheme.TLR))
+        tracer = Tracer().attach(machine)
+        machine.run_workload(single_counter(4, 64))
+        return tracer
 
-    def test_bare_int_only_from_known_positions(self):
-        from repro.sim.trace import _line_of_args
+    def test_message_events_carry_the_message_line(self):
+        tracer = self._traced()
+        for event in tracer.filter(kinds=("request", "forward", "data",
+                                          "defer", "service", "marker",
+                                          "probe")):
+            assert isinstance(event.line, int)
 
-        # _handle_loss(reason, line, ts) / _on_misspeculation(reason,
-        # line) carry the line at position 1.
-        assert _line_of_args(("probe-lost", 0x40, (3, 1)),
-                             kind="loss") == 0x40
-        assert _line_of_args(("invalidated", 0x40),
-                             kind="misspec") == 0x40
-        # An int in an unknown hook must not be misread as a line.
-        assert _line_of_args((7,), kind="nack") is None
-        assert _line_of_args((7,)) is None
-        assert _line_of_args(("reason",), kind="loss") is None
+    def test_loss_and_misspec_carry_the_conflict_line(self):
+        tracer = self._traced()
+        losses = tracer.filter(kinds=("loss",))
+        assert losses
+        for event in losses:
+            assert isinstance(event.line, int)
+            assert event.detail.split()[1] == repr(event.line)
+        for event in tracer.filter(kinds=("misspec",)):
+            assert event.detail.split()[1] == repr(event.line)
 
-    def test_non_int_line_attribute_ignored(self):
-        from repro.sim.trace import _line_of_args
-
-        class Odd:
-            line = "not-a-line"
-        assert _line_of_args((Odd(),)) is None
+    def test_lineless_events_carry_none(self):
+        tracer = self._traced()
+        lineless = tracer.filter(kinds=("txn-begin", "txn-commit",
+                                        "commit", "abort"))
+        assert lineless
+        assert all(event.line is None for event in lineless)

@@ -106,6 +106,19 @@ class TestMachineCollector:
         assert metrics["meta"]["policy"] == "timestamp"
         assert "TLR" in metrics["meta"]["scheme"]
 
+    def test_matched_sends_leave_no_open_entries(self):
+        """A marker or probe key leaves the open-send tables with its
+        last matched send: the collector's state stays bounded by the
+        sends still in flight."""
+        machine = Machine(small_config(4, SyncScheme.TLR))
+        collector = MachineMetrics().attach(machine)
+        machine.run_workload(linked_list(4, 128))
+        counters = collector.finalize(machine)["counters"]
+        assert counters["marker.received"] > 0
+        assert counters["probe.received"] > 0
+        for table in (collector._marker_open, collector._probe_open):
+            assert all(table.values()), "empty send lists left behind"
+
 
 class TestObservationPurity:
     """Telemetry describes a run; it must never change one."""

@@ -143,12 +143,18 @@ def _machine_stub(lock_addr=0x40, pc="site.a", attempts=3):
     return SimpleNamespace(processors=[SimpleNamespace(spec=spec)] * 8)
 
 
+def _at(time, cpu):
+    """A controller/processor stand-in: the folder reads only the
+    emitting component's cpu id and clock."""
+    return SimpleNamespace(cpu_id=cpu, sim=SimpleNamespace(now=time))
+
+
 class TestTxnTapFolder:
     def test_begin_reads_checkpoint(self):
         sink = _Sink()
         folder = TxnTapFolder(sink).attach_machine(
             _machine_stub(lock_addr=0x87, pc="x.y", attempts=5))
-        folder.on_tap(10, 2, "txn-begin", ((0, 2),), None)
+        folder.on_txn_begin(_at(10, 2), (0, 2))
         # lock addr 0x87 -> its cache line, pc and attempts verbatim.
         from repro.cpu.isa import line_of
         assert sink.events == [
@@ -157,41 +163,38 @@ class TestTxnTapFolder:
     def test_loss_stash_consumed_by_same_cycle_misspec(self):
         sink = _Sink()
         folder = TxnTapFolder(sink).attach_machine(_machine_stub())
-        folder.on_tap(0, 1, "txn-begin", ((0, 1),), None)
-        folder.on_tap(50, 1, "loss", ("conflict-lost", 0x48, (0, 3), 3),
-                      None)
-        folder.on_tap(50, 1, "misspec", ("conflict-lost", 0x48), None)
+        folder.on_txn_begin(_at(0, 1), (0, 1))
+        folder.on_loss(_at(50, 1), "conflict-lost", 0x48, (0, 3), 3)
+        folder.on_misspeculation(_at(50, 1), "conflict-lost", 0x48)
         assert sink.events[-1] == \
             ("txn_abort", 50, 1, "conflict-lost", 0x48, 3)
 
     def test_stale_loss_stash_is_not_consumed(self):
         sink = _Sink()
         folder = TxnTapFolder(sink).attach_machine(_machine_stub())
-        folder.on_tap(0, 1, "txn-begin", ((0, 1),), None)
-        folder.on_tap(50, 1, "loss", ("conflict-lost", 0x48, (0, 3), 3),
-                      None)
+        folder.on_txn_begin(_at(0, 1), (0, 1))
+        folder.on_loss(_at(50, 1), "conflict-lost", 0x48, (0, 3), 3)
         # The loss handler early-returned (no misspec at t=50); a later
         # resource abort must not inherit the stale attribution.
-        folder.on_tap(90, 1, "misspec", ("capacity", 0x10), None)
+        folder.on_misspeculation(_at(90, 1), "capacity", 0x10)
         assert sink.events[-1] == ("txn_abort", 90, 1, "capacity",
                                    0x10, -1)
 
     def test_memory_origin_probe_attributed_via_timestamp(self):
         sink = _Sink()
         folder = TxnTapFolder(sink).attach_machine(_machine_stub())
-        folder.on_tap(0, 2, "txn-begin", ((0, 2),), None)
-        folder.on_tap(7, 2, "loss", ("probe-lost", 0x48, (4, 1), -1),
-                      None)
-        folder.on_tap(7, 2, "misspec", ("probe-lost", 0x48), None)
+        folder.on_txn_begin(_at(0, 2), (0, 2))
+        folder.on_loss(_at(7, 2), "probe-lost", 0x48, (4, 1), -1)
+        folder.on_misspeculation(_at(7, 2), "probe-lost", 0x48)
         assert sink.events[-1] == ("txn_abort", 7, 2, "probe-lost",
                                    0x48, 1)
 
     def test_events_outside_open_txn_ignored(self):
         sink = _Sink()
         folder = TxnTapFolder(sink).attach_machine(_machine_stub())
-        folder.on_tap(1, 0, "txn-commit", (), None)
-        folder.on_tap(2, 0, "loss", ("conflict-lost", 0x48, None), None)
-        folder.on_tap(3, 0, "misspec", ("terminated", 0), None)
+        folder.on_txn_commit(_at(1, 0))
+        folder.on_loss(_at(2, 0), "conflict-lost", 0x48, None, -1)
+        folder.on_misspeculation(_at(3, 0), "terminated", 0)
         assert sink.events == []
 
 

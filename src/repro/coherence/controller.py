@@ -15,7 +15,9 @@ the TLR concurrency control *alongside* the unmodified MOESI protocol:
   previous owner is itself waiting), the obligation chains behind our own
   miss, a **marker** teaches the requester its upstream neighbour, and
   **probes** carry conflicting timestamps upstream to break cyclic waits
-  (Section 3.1.1, Figure 6);
+  (Section 3.1.1, Figure 6) -- each timestamp crosses each chain edge at
+  most once, and what a restarting node hears is applied when its fill
+  arrives (see :class:`~repro.tlr.deferral.ChainState`);
 * Section 3.2's single-block relaxation: an earlier-timestamp request may
   still be deferred when the transaction has exactly one block under
   conflict and no other miss outstanding (deadlock is impossible), unless
@@ -40,7 +42,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.coherence.cache import CacheArray, CapacityError
 from repro.coherence.messages import (MEMORY, BusRequest, Marker, Probe,
-                                      ReqKind, Timestamp)
+                                      ReqKind, Timestamp, beats)
 from repro.coherence.mshr import MshrFile
 from repro.coherence.states import Line, State
 from repro.policies import make_policy
@@ -62,10 +64,6 @@ class Decision(enum.Enum):
     DEFER = "defer"
     LOSE = "lose"
     SERVE_ABORT = "serve-abort"  # serve the data, abort the *requester*
-
-
-# How often a waiter re-champions its timestamp upstream (cycles).
-PROBE_WATCHDOG_PERIOD = 300
 
 
 class CacheController:
@@ -172,14 +170,6 @@ class CacheController:
         self.bus.issue(request)
         if self.obs is not None:
             self.obs.on_request_issued(self, request)
-        if self.tlr_enabled:
-            # Watch every miss, not just transactional ones: a restarted
-            # transaction may merge onto a request issued outside the
-            # transaction, and its priority must still be championed.
-            label = (f"probe-wd {line_addr:#x}" if self.sim.verbose_labels
-                     else "probe-wd")
-            self.sim.schedule(PROBE_WATCHDOG_PERIOD, self._probe_watchdog,
-                              line_addr, request.req_id, label=label)
         return False
 
     def try_hit(self, line_addr: int, need_writable: bool) -> bool:
@@ -196,29 +186,6 @@ class CacheController:
             self.stats.l1_hits += 1
             return True
         return False
-
-    def _probe_watchdog(self, line_addr: int, req_id: int) -> None:
-        """Re-champion our own timestamp upstream while a transactional
-        miss is outstanding.
-
-        A single probe can be lost -- it may reach the deferring holder
-        during the brief window of a restart, when its speculative state
-        is cleared -- and a lost probe means an unbroken cyclic wait.
-        Re-probing until the miss completes makes priority propagation
-        self-healing.
-        """
-        mshr = self.mshrs.get(line_addr)
-        if mshr is None or mshr.request.req_id != req_id:
-            return
-        if self.speculating and self.current_ts is not None:
-            chain = self.chains.get(line_addr)
-            if chain is not None and chain.upstream is not None:
-                self._send_probe(chain.upstream, line_addr, self.current_ts,
-                                 origin=self.cpu_id)
-        label = (f"probe-wd {line_addr:#x}" if self.sim.verbose_labels
-                 else "probe-wd")
-        self.sim.schedule(PROBE_WATCHDOG_PERIOD, self._probe_watchdog,
-                          line_addr, req_id, label=label)
 
     def _retry_access(self, line_addr: int, write: bool,
                       on_effect: Callable[[], None], want_exclusive: bool,
@@ -309,6 +276,14 @@ class CacheController:
         self.speculating = True
         self.current_ts = ts
         self._spec_touched.clear()
+        if ts is not None:
+            # Champion the new timestamp up the chain of every miss that
+            # did not carry it (issued outside the transaction, or before
+            # a commit moved the timestamp on): the upstream nodes know
+            # only the timestamp the request carried.
+            for mshr in self.mshrs.entries_view():
+                if mshr.request.ts != ts:
+                    self._propagate_probe(mshr.line, ts, origin=self.cpu_id)
 
     def commit_speculation(self) -> None:
         """``end_defer`` on success: clear access bits, service waiters.
@@ -411,15 +386,16 @@ class CacheController:
         return self.policy.must_release_before_miss(deferred,
                                                     self.current_ts)
 
-    def _policy_ctx(self, request: BusRequest,
+    def _policy_ctx(self, request: BusRequest, ts: Optional[Timestamp],
                     at_snoop: bool = False) -> ConflictContext:
-        """Package one conflict for the contention policy."""
+        """Package one conflict for the contention policy; ``ts`` is the
+        requester's effective timestamp."""
         _, written = self._accessed_in_txn(request.line)
         has_miss = any(m.in_txn and m.request.line != request.line
                        for m in self.mshrs.entries_view())
         return ConflictContext(
             line=request.line, requester=request.requester,
-            holder=self.cpu_id, requester_ts=request.ts,
+            holder=self.cpu_id, requester_ts=ts,
             holder_ts=self.current_ts, is_write=request.kind.is_write,
             holder_wrote=written,
             relaxation_ok=self._relaxation_ok(request.line),
@@ -427,14 +403,15 @@ class CacheController:
             holder_retries=self.policy.retries, at_snoop=at_snoop,
             now=self.sim.now)
 
-    def _decide(self, request: BusRequest) -> Decision:
+    def _decide(self, request: BusRequest,
+                ts: Optional[Timestamp]) -> Decision:
         if not self._conflicts(request):
             return Decision.SERVE
-        self.on_conflict_ts(request.ts)
+        self.on_conflict_ts(ts)
         if not self.tlr_enabled:
             # Plain SLE: a data conflict simply kills the speculation.
             return Decision.LOSE
-        verdict = self.policy.resolve(self._policy_ctx(request))
+        verdict = self.policy.resolve(self._policy_ctx(request, ts))
         if verdict is PolicyDecision.ABORT_HOLDER:
             return Decision.LOSE
         if verdict is PolicyDecision.ABORT_REQUESTER:
@@ -464,7 +441,7 @@ class CacheController:
         if not self._conflicts(request):
             return False
         self.on_conflict_ts(request.ts)
-        verdict = self.policy.resolve(self._policy_ctx(request,
+        verdict = self.policy.resolve(self._policy_ctx(request, request.ts,
                                                        at_snoop=True))
         if verdict is PolicyDecision.NACK_RETRY:
             self.stats.nacks_sent += 1
@@ -499,6 +476,7 @@ class CacheController:
             if self.speculating and mshr.in_txn:
                 self._handle_loss("aborted-by-holder", request.line,
                                   request.ts, holder)
+        self._concede_if_blocked(request.line)
         mshr.ordered = False
         request.order_time = None
         label = (f"nack-retry {request!r}" if self.sim.verbose_labels
@@ -559,13 +537,15 @@ class CacheController:
             raise RuntimeError(
                 f"cpu{self.cpu_id}: forwarded {request!r} for a line we "
                 "neither hold nor await -- protocol invariant broken")
-        self._resolve_obligation(request, line)
+        self._resolve_obligation(request, line, request.ts)
         if self.obs is not None:
             self.obs.on_line_settled(self, line_addr)
 
-    def _resolve_obligation(self, request: BusRequest, line: Line) -> None:
-        """Decide and act on an obligation we can satisfy with data."""
-        decision = self._decide(request)
+    def _resolve_obligation(self, request: BusRequest, line: Line,
+                            ts: Optional[Timestamp]) -> None:
+        """Decide and act on an obligation we can satisfy with data;
+        ``ts`` is the requester's effective timestamp."""
+        decision = self._decide(request, ts)
         if decision is Decision.DEFER and line.state not in (
                 State.MODIFIED, State.EXCLUSIVE):
             # Only exclusively-owned blocks are retainable (paper,
@@ -578,7 +558,7 @@ class CacheController:
                               self._service_obligation, request,
                               label=label)
         elif decision is Decision.DEFER:
-            self._defer(request)
+            self._defer(request, ts)
         elif decision is Decision.SERVE_ABORT:
             # Serve the data but kill the requester's transaction (the
             # ABORT_REQUESTER policy verdict): it consumes the value
@@ -588,7 +568,7 @@ class CacheController:
                               self._service_obligation, request,
                               label=label)
         else:
-            self._handle_loss("conflict-lost", request.line, request.ts,
+            self._handle_loss("conflict-lost", request.line, ts,
                               request.requester)
             self.sim.schedule(self._hit_latency,
                               self._service_obligation, request,
@@ -608,7 +588,8 @@ class CacheController:
             self._propagate_probe(request.line, request.ts,
                                   origin=request.requester)
             if (self._conflicts(request)
-                    and self.policy.resolve(self._policy_ctx(request))
+                    and self.policy.resolve(self._policy_ctx(request,
+                                                             request.ts))
                     is PolicyDecision.ABORT_HOLDER):
                 # We already know we lose this line: restart now and pass
                 # the data through when it arrives.
@@ -620,8 +601,8 @@ class CacheController:
             self._handle_loss("data-conflict-pending", request.line,
                               request.ts, request.requester)
 
-    def _defer(self, request: BusRequest) -> None:
-        self.deferred.push(request, self.sim.now)
+    def _defer(self, request: BusRequest, ts: Optional[Timestamp]) -> None:
+        self.deferred.push(request, self.sim.now, ts)
         self.cache.pin(request.line)
         self.stats.requests_deferred += 1
         if self.obs is not None:
@@ -689,8 +670,19 @@ class CacheController:
         chain = self.chains.get(marker.line)
         if chain is None:
             return  # The miss already completed; the chain is gone.
-        for ts in chain.learn_upstream(marker.sender):
+        ts = chain.learn_upstream(marker.sender)
+        if ts is not None:
             self._send_probe(marker.sender, marker.line, ts, origin=-1)
+        self._concede_if_blocked(marker.line)
+
+    def _concede_if_blocked(self, line_addr: int) -> None:
+        """One of our misses is blocked (a marker or a NACK answered it)
+        while we hold a deferred request whose effective timestamp beats
+        ours -- which only the Section 3.2 relaxation permits, and only
+        while nothing of ours waits.  Waiting now could close a cycle
+        through that request, so the transaction concedes."""
+        if self.speculating and self.deferred.outranks(self.current_ts):
+            self._handle_loss("relaxation-revoked", line_addr, None)
 
     def handle_probe(self, probe: Probe) -> None:
         if self.obs is not None:
@@ -763,7 +755,7 @@ class CacheController:
     def upgrade_granted(self, request: BusRequest) -> None:
         """Our UPG completed at its order point (no data needed)."""
         mshr = self.mshrs.release(request.line)
-        self.chains.pop(request.line, None)
+        best = self._pop_chain_best(request.line)
         line = self.cache.lookup(request.line)
         if line is not None:
             line.state = State.MODIFIED
@@ -771,7 +763,7 @@ class CacheController:
             self.monitor.on_line_state(self, request.line)
         self._finish_request(request, list(mshr.waiters),
                              list(mshr.successors),
-                             pass_through=mshr.pass_through)
+                             pass_through=mshr.pass_through, best=best)
 
     def writeback_ordered(self, request: BusRequest) -> None:
         self.evicting.pop(request.line, None)
@@ -789,7 +781,7 @@ class CacheController:
         if self.obs is not None:
             self.obs.on_data(self, request)
         self.mshrs.release(request.line)
-        self.chains.pop(request.line, None)
+        best = self._pop_chain_best(request.line)
         grant = request.grant_state
         if grant is None:
             grant = State.SHARED
@@ -817,14 +809,25 @@ class CacheController:
         self._wake_watchers(request.line)
         self._finish_request(request, list(mshr.waiters),
                              list(mshr.successors),
-                             pass_through=mshr.pass_through)
+                             pass_through=mshr.pass_through, best=best)
         if self.obs is not None:
             self.obs.on_line_settled(self, request.line)
+
+    def _pop_chain_best(self, line_addr: int) -> Optional[Timestamp]:
+        """Retire a completed miss's chain; return the earliest timestamp
+        it heard from downstream."""
+        chain = self.chains.pop(line_addr, None)
+        return None if chain is None else chain.best
 
     def _finish_request(self, request: BusRequest,
                         waiters: list[Callable[[], None]],
                         successors: list[BusRequest],
-                        pass_through: bool) -> None:
+                        pass_through: bool,
+                        best: Optional[Timestamp]) -> None:
+        """Run the fill's waiters, then settle the chained successors.
+        Each successor is judged by the earlier of its own timestamp and
+        ``best``, the chain's: a waiter further down that chain waits on
+        it, and a probe heard while we were restarting is applied here."""
         self.cache.unpin(request.line)
         self.bus.complete(request)
         if pass_through and successors:
@@ -848,7 +851,8 @@ class CacheController:
                 # batch already surrendered the line: pass data on.
                 self.bus.deliver_data(successor, self.cpu_id)
                 continue
-            self._resolve_obligation(successor, line)
+            ts = best if beats(best, successor.ts) else successor.ts
+            self._resolve_obligation(successor, line, ts)
 
     # ------------------------------------------------------------------
     # Obligation service, loss handling, eviction

@@ -82,16 +82,17 @@ class Machine:
             mshr_bits = []
             for mshr in ctl.mshrs:
                 succ = ",".join(repr(s) for s in mshr.successors)
+                chain = ctl.chains.get(mshr.line)
+                upstream, best = ((chain.upstream, chain.best)
+                                  if chain is not None else (None, None))
                 mshr_bits.append(
                     f"{mshr.request!r} ordered={mshr.ordered} "
                     f"pass={mshr.pass_through} succ=[{succ}] "
-                    f"upstream={mshr.upstream}")
-            chains = {hex(k): (v.upstream, v.pending_probes)
-                      for k, v in ctl.chains.items()}
+                    f"upstream={upstream} best={best}")
             lines.append(
                 f"cpu{ctl.cpu_id}: spec={ctl.speculating} ts={ctl.current_ts} "
-                f"deferred={[repr(e.request) for e in ctl.deferred._entries]} "
-                f"mshrs=[{'; '.join(mshr_bits)}] chains={chains}")
+                f"deferred={[repr(e.request) for e in ctl.deferred.entries()]} "
+                f"mshrs=[{'; '.join(mshr_bits)}]")
         return "\n".join(lines)
 
     def _deliver_data(self, request, from_node: int) -> None:

@@ -54,7 +54,13 @@ from repro.workloads.microbench import (linked_list, multiple_counter,
 #     selector field, and the metrics payload lost the kernel
 #     batch-size histogram and the backend name under ``meta``.
 #     Simulated results are unchanged; only cache keys move.
-FINGERPRINT_VERSION = 9
+# v10: the periodic probe re-send (a watchdog every 300 cycles per
+#     outstanding miss) is gone; probes are deduplicated per chain edge
+#     and a chain's earliest waiting timestamp decides its successors at
+#     fill time.  Conflict timing moves, so simulated results change
+#     wherever chains form (counter workloads without data conflicts
+#     are unchanged).
+FINGERPRINT_VERSION = 10
 
 
 # ----------------------------------------------------------------------

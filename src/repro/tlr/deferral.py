@@ -13,17 +13,17 @@ per line can exist because bus order hands line ownership to the first
 requester -- later requesters chain behind *it*, not behind us.
 
 ``ChainState`` tracks the marker/probe bookkeeping of Section 3.1.1 for
-one outstanding miss: the upstream neighbour a marker taught us, and any
-probe timestamps that arrived before the marker did (flushed upstream as
-soon as the neighbour becomes known).
+one outstanding miss: the upstream neighbour a marker taught us, the
+earliest timestamp heard from downstream, and the earliest already sent
+upstream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.coherence.messages import BusRequest, Timestamp
+from repro.coherence.messages import BusRequest, Timestamp, beats
 
 
 @dataclass(slots=True)
@@ -32,6 +32,9 @@ class DeferredEntry:
 
     request: BusRequest
     arrival: int          # simulated time the deferral decision was made
+    # The timestamp the deferral decision used: the request's own, or an
+    # earlier one its chain championed (``ChainState.best``).
+    ts: Optional[Timestamp]
 
     @property
     def line(self) -> int:
@@ -45,7 +48,10 @@ class DeferredQueue:
         self.capacity = capacity
         self._entries: list[DeferredEntry] = []
 
-    def push(self, request: BusRequest, now: int) -> None:
+    def push(self, request: BusRequest, now: int,
+             ts: Optional[Timestamp] = None) -> None:
+        """Queue ``request``; ``ts`` is its effective timestamp (default:
+        the request's own)."""
         if request.kind.is_write and any(
                 e.line == request.line and e.request.kind.is_write
                 for e in self._entries):
@@ -55,7 +61,8 @@ class DeferredQueue:
                 f"second exclusive deferral for line {request.line:#x}")
         if len(self._entries) >= self.capacity:
             raise RuntimeError("deferred queue overflow")
-        self._entries.append(DeferredEntry(request, now))
+        self._entries.append(DeferredEntry(
+            request, now, request.ts if ts is None else ts))
 
     def drain(self) -> list[DeferredEntry]:
         """Remove and return all entries in arrival order."""
@@ -97,6 +104,14 @@ class DeferredQueue:
                   if e.request.ts is not None]
         return min(stamps) if stamps else None
 
+    def outranks(self, ts: Optional[Timestamp]) -> bool:
+        """Does any entry's effective timestamp beat ``ts``?  (Only the
+        Section 3.2 relaxation lets a holder keep such an entry.)"""
+        for e in self._entries:
+            if beats(e.ts, ts):
+                return True
+        return False
+
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -108,26 +123,39 @@ class DeferredQueue:
 class ChainState:
     """Marker/probe bookkeeping for one line's outstanding miss.
 
-    Probes are *not* deduplicated: a probe can land while its target is
-    mid-restart (speculation briefly off) and be ignored, so waiters
-    re-issue probes on a watchdog period until their miss completes.
-    Probes travel strictly upstream along marker edges, so each receipt
-    causes at most one forward -- no loops, bounded volume.
+    ``best`` is the earliest timestamp heard from downstream -- chained
+    successors' requests and the probes they forward -- kept even before
+    a marker names the upstream neighbour.  ``forwarded`` is the earliest
+    timestamp already sent to the current upstream.  A probe goes
+    upstream only when it beats ``forwarded``: a probe's effect (the
+    holder loses) is idempotent, so a repeat carries no news.  A marker
+    from a new upstream resets ``forwarded`` and sends ``best`` there.
+
+    Nothing heard is lost when this node is restarting: ``best`` outlives
+    the restart, and the controller folds it into its decision on the
+    chained successors when the fill arrives.
     """
 
     upstream: Optional[int] = None
-    pending_probes: list[Timestamp] = field(default_factory=list)
+    best: Optional[Timestamp] = None
+    forwarded: Optional[Timestamp] = None
 
-    def learn_upstream(self, node: int) -> list[Timestamp]:
-        """Record the marker sender; return probes awaiting forwarding."""
+    def learn_upstream(self, node: int) -> Optional[Timestamp]:
+        """Record the marker sender; return the timestamp to send it
+        (None when there is nothing new to send)."""
+        if node == self.upstream:
+            return None
         self.upstream = node
-        pending, self.pending_probes = self.pending_probes, []
-        return pending
+        self.forwarded = self.best
+        return self.best
 
     def queue_probe(self, ts: Timestamp) -> bool:
-        """Returns True when the probe can be forwarded now; otherwise
-        holds it until the upstream neighbour becomes known."""
-        if self.upstream is None:
-            self.pending_probes.append(ts)
+        """Fold ``ts`` into ``best``; True when it must be forwarded to
+        the upstream now (the upstream is known and has not yet heard a
+        timestamp at least as early)."""
+        if beats(ts, self.best):
+            self.best = ts
+        if self.upstream is None or not beats(ts, self.forwarded):
             return False
+        self.forwarded = ts
         return True

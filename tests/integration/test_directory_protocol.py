@@ -4,6 +4,7 @@ unordered network -- everything must still serialize."""
 import pytest
 
 from repro.harness.config import SyncScheme, SystemConfig
+from repro.harness.machine import Machine
 from repro.harness.parallel import run
 from repro.workloads.generator import WorkloadSpec, generate
 from repro.workloads.microbench import (linked_list, multiple_counter,
@@ -97,3 +98,28 @@ def test_determinism_on_directory():
     a = run(single_counter(4, 128), _cfg(SyncScheme.TLR, seed=5))
     b = run(single_counter(4, 128), _cfg(SyncScheme.TLR, seed=5))
     assert a.cycles == b.cycles
+
+
+@pytest.mark.parametrize("verbose", [False, True])
+def test_directory_labels_gated_on_verbose(verbose):
+    """Descriptive interconnect labels cost an f-string per message, so
+    they are built only when a tracer or choice hook may read them; the
+    first token (the event kind) is the same either way."""
+    machine = Machine(_cfg(SyncScheme.TLR))
+    seen = []
+
+    def hook(cycle, label):
+        seen.append(label)
+
+    if verbose:
+        machine.sim.trace = hook
+    else:
+        machine.sim.on_dispatch = hook
+    machine.run_workload(single_counter(4, 64))
+    dir_labels = [l for l in seen if l.startswith("dir-")]
+    assert {l.split(" ", 1)[0] for l in dir_labels} == {"dir-arrive",
+                                                         "dir-order"}
+    if verbose:
+        assert all(" " in l for l in dir_labels)
+    else:
+        assert set(dir_labels) == {"dir-arrive", "dir-order"}

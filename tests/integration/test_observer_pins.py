@@ -6,7 +6,9 @@ recorder's per-instance wrappers).  The explicit ``obs`` emit points
 that replaced them must reproduce each observer's output exactly: the
 flight recorder's log bytes (plain, verify-harness and scheduler-on
 runs), the live contention profile, the tracer's instant and span
-streams, and the committed-transaction footprints.
+streams, and the committed-transaction footprints.  They were
+re-captured at FINGERPRINT_VERSION 10, when probes stopped being re-sent
+on a timer: the simulations themselves changed, not the observers.
 
 The record-log digests of the linked-list protocol × policy matrix live
 beside the other matrix tests in ``test_record_replay.py``.
@@ -29,11 +31,11 @@ from repro.verify.explorer import verify_run
 from repro.verify.monitors import MonitorSuite
 from repro.verify.recorder import FootprintRecorder
 
-VERIFY_LOG = "31c5eeed3319154ab77a04e3584707e8ac2d65f146244f62a9414f541279337f"
-SCHED_LOG = "4217a0252dd0e01b79a5d4ce3d7e4775003d882dac258a1a94ea67bb0a1f2060"
-PROFILE = "1f29b33f2168dd6b679e1a3bf44a188505b93e6a864c1c04a495ef943cb9431d"
-TRACER = "72764f9384acfe5b3e8e6039de2749db6b3e9f9427203be8fde445946fe7ba16"
-FOOTPRINT = "1b8391865dae5b8be0e1a818c82cc1a835c33d30ad7282524a3444924d649a6f"
+VERIFY_LOG = "0daba48893937fedc841cd2c4bbec225264b7870de9a60bf4a1a99e7f76b1db6"
+SCHED_LOG = "9ca4ffd955fd35457a50f599e7b14027c0a2a541c03116d608c705437a226e63"
+PROFILE = "b9823f20177342ce3917948c6f261b5d9dbe8f7a0de1613fd20272c254c6663d"
+TRACER = "57eb782abf3416ad0fac7f62d2a53d6da5c7e76484eae39dd0915e9dd8b79f8c"
+FOOTPRINT = "330fe5fd577c171b0b90ac9c6b07d7e0c2261b0fc5f70e37e5c6a7fad4cc18f3"
 
 
 def _spec(policy="timestamp", protocol="snoop", seed=0, cpus=4, ops=48,

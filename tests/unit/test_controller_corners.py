@@ -4,7 +4,8 @@ movement, and deferral bookkeeping."""
 
 import pytest
 
-from repro.coherence.messages import MEMORY
+from repro.coherence.messages import (MEMORY, BusRequest, Marker, Probe,
+                                      ReqKind)
 from repro.coherence.states import State
 from repro.cpu import isa
 from repro.harness.config import SyncScheme
@@ -194,3 +195,75 @@ class TestDeferralBookkeeping:
             - stats.total("lock_fallbacks") * 0)
         # Every committed section incremented the counter exactly once.
         assert machine.store.read(counter) == 24
+
+
+class TestPriorityPropagation:
+    """Section 3.1.1 priority propagation without periodic re-probes,
+    driven by hand on one controller (no event loop runs)."""
+
+    LINE, OTHER = 0x40, 0x80
+
+    def _machine(self, scheme=SyncScheme.TLR):
+        machine = Machine(small_config(3, scheme))
+        ctl = machine.controllers[0]
+        losses = []
+        ctl.on_misspeculation = lambda reason, line: losses.append(reason)
+        return machine, ctl, losses
+
+    @staticmethod
+    def _noop():
+        pass
+
+    def _chain_restart_then_fill(self, ctl):
+        """cpu0 misses inside its transaction (ts (5, 0)); cpu1's later
+        GETX (9, 1) chains behind the miss; cpu0 restarts, and in that
+        window a probe for an earlier waiter (2, 2) arrives; cpu0
+        re-enters with the same timestamp and its fill lands."""
+        ctl.enter_speculation((5, 0))
+        assert not ctl.access(self.LINE, write=True, on_effect=self._noop)
+        own = ctl.mshrs.get(self.LINE).request
+        ctl.handle_forward(BusRequest(ReqKind.GETX, line=self.LINE,
+                                      requester=1, ts=(9, 1)))
+        ctl.abort_speculation()
+        ctl.handle_probe(Probe(line=self.LINE, ts=(2, 2), origin=2))
+        assert ctl.chains[self.LINE].best == (2, 2)
+        ctl.enter_speculation((5, 0))
+        ctl.handle_data(own)
+
+    def test_probe_heard_while_restarting_decides_at_fill(self):
+        _, ctl, losses = self._machine(SyncScheme.TLR_STRICT_TS)
+        self._chain_restart_then_fill(ctl)
+        # (9, 1) alone would be deferred; the waiter (2, 2) behind it
+        # beats (5, 0), so the transaction loses and serves the line.
+        assert losses == ["conflict-lost"]
+        assert not ctl.deferred
+
+    def test_blocked_holder_concedes_relaxation_deferral(self):
+        _, ctl, losses = self._machine(SyncScheme.TLR)
+        self._chain_restart_then_fill(ctl)
+        # One block under conflict: the relaxation defers it, recording
+        # the effective timestamp the decision used.
+        assert losses == []
+        (entry,) = ctl.deferred.entries()
+        assert entry.ts == (2, 2) and entry.request.ts == (9, 1)
+        # A new miss is allowed (the request's own timestamp is later)...
+        assert not ctl.access(self.OTHER, write=True, on_effect=self._noop)
+        req_id = ctl.mshrs.get(self.OTHER).request.req_id
+        # ...but once a marker says it is blocked, the holder concedes.
+        ctl.handle_marker(Marker(line=self.OTHER, sender=1, req_id=req_id))
+        assert losses == ["relaxation-revoked"]
+        assert not ctl.deferred
+
+    def test_new_timestamp_championed_once(self):
+        _, ctl, _ = self._machine()
+        # A miss issued outside any transaction carries no timestamp.
+        assert not ctl.access(self.LINE, write=True, on_effect=self._noop)
+        req_id = ctl.mshrs.get(self.LINE).request.req_id
+        ctl.handle_marker(Marker(line=self.LINE, sender=1, req_id=req_id))
+        assert ctl.stats.probes_sent == 0
+        ctl.enter_speculation((5, 0))
+        assert ctl.stats.probes_sent == 1
+        # A restart re-enters with the same timestamp: nothing new.
+        ctl.abort_speculation()
+        ctl.enter_speculation((5, 0))
+        assert ctl.stats.probes_sent == 1

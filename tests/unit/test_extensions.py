@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.coherence.messages import Marker, Probe
 from repro.harness.config import SyncScheme, SpeculationConfig, SystemConfig
 from repro.harness.machine import Machine
 from repro.harness.parallel import run
@@ -191,6 +192,15 @@ class TestMachineDump:
         text = machine.dump_state()
         assert "cpu0" in text and "cpu1" in text
         assert len(machine.controllers[0].deferred) == before
+
+    def test_dump_state_shows_chain_upstream_and_best(self):
+        machine = Machine(small_config(2, SyncScheme.TLR))
+        ctl = machine.controllers[0]
+        assert not ctl.access(0x40, write=True, on_effect=lambda: None)
+        req_id = ctl.mshrs.get(0x40).request.req_id
+        ctl.handle_marker(Marker(line=0x40, sender=1, req_id=req_id))
+        ctl.handle_probe(Probe(line=0x40, ts=(3, 1), origin=1))
+        assert "upstream=1 best=(3, 1)" in machine.dump_state()
 
 
 class TestTracerSpans:

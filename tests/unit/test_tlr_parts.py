@@ -119,24 +119,58 @@ class TestDeferredQueue:
         queue.push(_req(line=1, ts=None), now=0)
         assert queue.earliest_ts() is None
 
+    def test_effective_ts_recorded_and_outranks(self):
+        queue = DeferredQueue()
+        queue.push(_req(line=1, ts=(6, 0)), now=0)
+        assert queue.entries()[0].ts == (6, 0)   # default: its own
+        assert not queue.outranks((5, 1))
+        # A chain championed an earlier waiter: the entry carries it,
+        # while earliest_ts() still reads the request's own timestamp.
+        queue.push(_req(kind=ReqKind.GETS, line=2, ts=None), now=0,
+                   ts=(3, 2))
+        assert queue.entries()[1].ts == (3, 2)
+        assert queue.outranks((5, 1))
+        assert queue.earliest_ts() == (6, 0)
+
 
 class TestChainState:
     def test_probe_waits_for_upstream(self):
         chain = ChainState()
         assert not chain.queue_probe((1, 0))
-        flushed = chain.learn_upstream(7)
-        assert flushed == [(1, 0)]
+        assert chain.best == (1, 0)
+        assert chain.learn_upstream(7) == (1, 0)
         assert chain.upstream == 7
+        assert chain.forwarded == (1, 0)
 
     def test_probe_forwarded_once_upstream_known(self):
         chain = ChainState()
-        chain.learn_upstream(7)
+        assert chain.learn_upstream(7) is None
         assert chain.queue_probe((1, 0))
 
-    def test_reprobes_allowed(self):
-        """Watchdog re-probes must not be deduplicated (a probe can be
-        lost in a restart window)."""
+    def test_repeat_probes_deduplicated(self):
+        """A probe is forwarded only when it beats every timestamp
+        already sent to the current upstream."""
         chain = ChainState()
         chain.learn_upstream(7)
-        assert chain.queue_probe((1, 0))
-        assert chain.queue_probe((1, 0))
+        assert chain.queue_probe((2, 0))
+        assert not chain.queue_probe((2, 0))   # exact repeat
+        assert not chain.queue_probe((3, 1))   # later: no news
+        assert chain.queue_probe((1, 4))       # earlier: forwarded
+        assert chain.best == (1, 4)
+
+    def test_best_kept_while_not_forwarding(self):
+        chain = ChainState()
+        chain.queue_probe((5, 0))
+        chain.queue_probe((3, 2))
+        chain.queue_probe((4, 1))
+        assert chain.best == (3, 2)
+
+    def test_new_upstream_resends_best(self):
+        chain = ChainState()
+        chain.learn_upstream(7)
+        chain.queue_probe((2, 0))
+        # The same upstream again: it already heard (2, 0).
+        assert chain.learn_upstream(7) is None
+        # A different upstream has heard nothing yet.
+        assert chain.learn_upstream(9) == (2, 0)
+        assert not chain.queue_probe((2, 0))

@@ -91,13 +91,15 @@ def _plan_rmw_predictor(config: dict, results: dict) -> list[RunSpec]:
 def _plan_profile(config: dict, results: dict) -> list[RunSpec]:
     from repro.harness.spec import SIZE_PARAM
     specs = []
-    for policy in config["policies"]:
-        for workload in config["workloads"]:
-            cfg = SystemConfig(num_cpus=config["num_cpus"],
-                               scheme=SyncScheme.TLR).with_policy(policy)
-            specs.append(RunSpec(
-                workload=workload, config=cfg,
-                workload_args={SIZE_PARAM[workload]: config["ops"]}))
+    for seed in range(config.get("fan_seeds", 1)):
+        for policy in config["policies"]:
+            for workload in config["workloads"]:
+                cfg = SystemConfig(num_cpus=config["num_cpus"],
+                                   scheme=SyncScheme.TLR, seed=seed
+                                   ).with_policy(policy)
+                specs.append(RunSpec(
+                    workload=workload, config=cfg,
+                    workload_args={SIZE_PARAM[workload]: config["ops"]}))
     return specs
 
 

@@ -22,7 +22,7 @@ from repro.harness.config import SyncScheme, SystemConfig
 from repro.runtime.env import ThreadEnv
 from repro.runtime.program import ValidationError, Workload
 from repro.sim.kernel import Simulator
-from repro.sim.rng import LatencyPerturber, RandomStreams
+from repro.sim.rng import LatencyPerturber, RandomStreams, chaos_priority
 from repro.sim.stats import SimStats
 from repro.sync.locks import TestAndTestAndSetLock
 from repro.sync.mcs import McsLock, QnodeAllocator
@@ -40,10 +40,8 @@ class Machine:
         if config.schedule_chaos > 0:
             # Schedule-exploration mode: perturb same-cycle event order
             # with a seeded random priority (see Simulator.set_choice_hook).
-            chaos_rng = self.streams.stream("choice")
-            chaos = config.schedule_chaos
-            self.sim.set_choice_hook(
-                lambda label: chaos_rng.randint(0, chaos))
+            self.sim.set_choice_hook(chaos_priority(
+                self.streams.stream("choice"), config.schedule_chaos))
         perturber = LatencyPerturber(self.streams.stream("latency"),
                                      config.latency_jitter)
         if config.protocol == "directory":

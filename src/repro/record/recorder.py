@@ -17,8 +17,8 @@ Two normalizations keep logs byte-reproducible across processes:
 request ids come from a process-global counter, so the recorder maps
 each ``req_id`` to a dense first-seen index; and dispatch labels are
 truncated to their first token, which removes embedded request reprs
-(present when a chaos run has ``verbose_labels`` on) and keeps the
-string table small.
+(present when a :attr:`~repro.sim.kernel.Simulator.trace` hook has
+``verbose_labels`` on) and keeps the string table small.
 """
 
 from __future__ import annotations

@@ -26,8 +26,11 @@ cheap without changing any observable ordering:
   so re-heapifying cannot change pop order.
 * **Hoisted hooks.**  The per-event trace check and heap accessors are
   bound once per :meth:`Simulator.run` call, and ``verbose_labels`` tells
-  callers whether anyone (tracer or choice hook) will ever look at an
-  event label, letting hot call sites skip f-string construction.
+  callers whether the debug :attr:`Simulator.trace` hook will read event
+  labels, letting hot call sites skip f-string construction.  A choice
+  hook is handed the label too, but only the cheap one: the chaos hook
+  ignores it, and building a request repr per event for it would cost
+  more than the draw itself.
 """
 
 from __future__ import annotations
@@ -155,8 +158,8 @@ class Simulator:
         self._actors: list[Any] = []
         self._choice: Optional[Callable[[str], int]] = None
         self._trace: Optional[Callable[[int, str], None]] = None
-        #: True when a tracer or choice hook may read event labels; hot
-        #: call sites consult this to skip building descriptive labels.
+        #: True when the debug :attr:`trace` hook is installed; hot call
+        #: sites consult this to skip building descriptive labels.
         self.verbose_labels = False
         self._free: list[Event] = []
         self._recycle = recycle_events
@@ -195,17 +198,16 @@ class Simulator:
     def trace(self) -> Optional[Callable[[int, str], None]]:
         """Raw per-event debug hook ``fn(cycle, label)``.
 
-        Installing it (or a choice hook) flips :attr:`verbose_labels` so
-        call sites start producing descriptive labels.  The hook binding
-        is sampled at each :meth:`run` call, not per event.
+        Installing it flips :attr:`verbose_labels` so call sites start
+        producing descriptive labels (nothing else does).  The hook
+        binding is sampled at each :meth:`run` call, not per event.
         """
         return self._trace
 
     @trace.setter
     def trace(self, fn: Optional[Callable[[int, str], None]]) -> None:
         self._trace = fn
-        self.verbose_labels = (self._trace is not None
-                               or self._choice is not None)
+        self.verbose_labels = fn is not None
 
     def schedule(self, delay: int, fn: Callable[..., None], *args: Any,
                  label: str = "") -> Event:
@@ -249,10 +251,13 @@ class Simulator:
         schedule explorer installs a seeded random hook here to perturb
         same-cycle interleavings -- every distinct seed then explores a
         different but fully reproducible legal ordering.
+
+        The hook does not flip :attr:`verbose_labels`: it sees the cheap
+        label (the event kind) unless a :attr:`trace` hook asked for
+        descriptive ones.  A hook that must tell events apart by more
+        than their kind installs a tracer as well.
         """
         self._choice = fn
-        self.verbose_labels = (self._trace is not None
-                               or self._choice is not None)
 
     # ------------------------------------------------------------------
     # Lazy-cancel compaction

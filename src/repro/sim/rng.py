@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from typing import Callable
 
 
 class RandomStreams:
@@ -54,3 +55,28 @@ class LatencyPerturber:
         if self.max_jitter <= 0:
             return latency
         return latency + self._randbelow(self._span)
+
+
+def chaos_priority(rng: random.Random,
+                   amplitude: int) -> Callable[[str], int]:
+    """A schedule choice hook drawing ``rng.randint(0, amplitude)``.
+
+    It runs on every scheduled event of a chaos run, so it inlines the
+    rejection loop ``randint`` reaches through ``randrange`` and
+    ``_randbelow``: draw ``k = (amplitude + 1).bit_length()`` bits and
+    retry while the draw is out of range.  Same algorithm, same calls
+    on the generator, so the stream of priorities -- and the schedule
+    -- is exactly the one ``randint`` would give.  The label argument
+    is ignored.
+    """
+    span = amplitude + 1
+    bits = span.bit_length()
+    getrandbits = rng.getrandbits
+
+    def draw(label: str) -> int:
+        value = getrandbits(bits)
+        while value >= span:
+            value = getrandbits(bits)
+        return value
+
+    return draw

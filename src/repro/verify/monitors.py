@@ -105,6 +105,8 @@ class MonitorSuite:
         self.losses = 0
         self._last_progress: Optional[tuple] = None
         self._stuck_windows = 0
+        #: Every controller's side-effect-free lookup, bound once.
+        self._peeks = [ctl.cache.peek for ctl in machine.controllers]
 
     # ------------------------------------------------------------------
     # Attachment
@@ -129,7 +131,30 @@ class MonitorSuite:
     # ------------------------------------------------------------------
     def on_line_state(self, controller: "CacheController",
                       line_addr: int) -> None:
+        """Check the line's MOESI compatibility across every cache.
+
+        This runs on every state change of a verify run, so the common
+        (legal) case only counts holders; the cpu lists that word a
+        violation are built by :meth:`_report_line_state` once a count
+        shows one.  Every controller's copy is read on every call.
+        """
         self.checks += 1
+        valid = writable = owners = 0
+        for peek in self._peeks:
+            line = peek(line_addr)
+            if line is None:
+                continue
+            state = line.state
+            if state.valid:
+                valid += 1
+                writable += state.writable
+                owners += state.owned
+        if (writable > 1 or owners > 1
+                or (self.strict_exclusive and writable and valid > 1)):
+            self._report_line_state(controller, line_addr)
+
+    def _report_line_state(self, controller: "CacheController",
+                           line_addr: int) -> None:
         writable: list[int] = []
         owners: list[int] = []
         valid: list[int] = []

@@ -12,6 +12,13 @@ on a timer: the simulations themselves changed, not the observers.
 
 The record-log digests of the linked-list protocol × policy matrix live
 beside the other matrix tests in ``test_record_replay.py``.
+
+The schedule-chaos pins (``CHAOS_VERDICTS``, ``CHAOS_LOG``) hold the
+verify harness under a seeded same-cycle priority: the verdict of every
+protocol × policy cell and the record-log bytes of one chaos run.  They
+were captured while the chaos hook still drew through ``randint`` and
+every call site still built descriptive labels under it; the cheaper
+draw and the label gate must reproduce them exactly.
 """
 
 import hashlib
@@ -19,12 +26,15 @@ import json
 import re
 from dataclasses import replace
 
+import pytest
+
 from repro.harness.config import SchedConfig, SyncScheme, SystemConfig
 from repro.harness.machine import Machine
 from repro.harness.runner import execute_workload
 from repro.harness.spec import RunSpec
 from repro.obs import MachineMetrics
 from repro.obs.profile import LockProfiler
+from repro.policies import POLICY_NAMES
 from repro.record import FlightRecorder, load_log, record_run
 from repro.sim.trace import Tracer
 from repro.verify.explorer import verify_run
@@ -36,14 +46,37 @@ SCHED_LOG = "9ca4ffd955fd35457a50f599e7b14027c0a2a541c03116d608c705437a226e63"
 PROFILE = "b9823f20177342ce3917948c6f261b5d9dbe8f7a0de1613fd20272c254c6663d"
 TRACER = "57eb782abf3416ad0fac7f62d2a53d6da5c7e76484eae39dd0915e9dd8b79f8c"
 FOOTPRINT = "330fe5fd577c171b0b90ac9c6b07d7e0c2261b0fc5f70e37e5c6a7fad4cc18f3"
+CHAOS_LOG = "4548b5203ac885abf36aeca3d8eccfeb9f3501586ced275b51dafc841d315961"
+#: sha256 of ``verdict.to_dict()`` without ``elapsed``: linked-list,
+#: 8 CPUs, 96 ops, seed 3, ``schedule_chaos=4``.
+CHAOS_VERDICTS = {
+    ("snoop", "timestamp"):
+        "acb7ab09fd4a0bf9cd6592f055faa06a97972ff6630d5cc87601871dff300464",
+    ("snoop", "nack"):
+        "bbb7a246315284a76e5e592a48a9fc545431a43547f0730cfa038e0c1c8774be",
+    ("snoop", "requester-wins"):
+        "d66cead2b9c432a22e9040b009a337307961ee440ad9e5cb55546a60d9463886",
+    ("snoop", "backoff"):
+        "af189e830dcb128d08c6b35d2756578ec512583870c5eb727bba86bbcee22088",
+    ("directory", "timestamp"):
+        "a5435a6c5417d413aa2893c743374b7fdfa1609fbfdb515839f9593562536e1f",
+    ("directory", "nack"):
+        "802c542962da6553fd9ee1d1200a671e3f3e582b88b0a22d6fb8b5f717690730",
+    ("directory", "requester-wins"):
+        "0fd063bafdfa493e9f0251c584686c48a8c1611b6672e29ec5c8d9a7f4573472",
+    ("directory", "backoff"):
+        "6dc7e546a2fc26bec292ad1f4f483ac40510916e89cee5b4a237e445387041b0",
+}
 
 
 def _spec(policy="timestamp", protocol="snoop", seed=0, cpus=4, ops=48,
-          sched=None):
+          sched=None, chaos=0):
     config = SystemConfig(num_cpus=cpus, scheme=SyncScheme.TLR, seed=seed,
                           protocol=protocol).with_policy(policy)
     if sched is not None:
         config = replace(config, sched=sched)
+    if chaos:
+        config = replace(config, schedule_chaos=chaos)
     return RunSpec(workload="linked-list", config=config,
                    workload_args={"total_ops": ops})
 
@@ -76,6 +109,24 @@ def test_verify_harness_log_bytes():
     result, _ = verify_run(_spec(), record=True)
     assert result.ok
     assert _sha(result.log_bytes) == VERIFY_LOG
+
+
+@pytest.mark.parametrize("protocol,policy", [
+    (protocol, policy) for protocol in ("snoop", "directory")
+    for policy in POLICY_NAMES])
+def test_chaos_verdict_digests(protocol, policy):
+    verdict, _ = verify_run(_spec(policy, protocol, seed=3, cpus=8, ops=96,
+                                  chaos=4))
+    assert verdict.ok, verdict.error or verdict.violations
+    payload = verdict.to_dict()
+    payload.pop("elapsed")
+    assert _sha(_canonical(payload)) == CHAOS_VERDICTS[protocol, policy]
+
+
+def test_chaos_verify_log_bytes():
+    result, _ = verify_run(_spec(seed=1, cpus=8, chaos=4), record=True)
+    assert result.ok
+    assert _sha(result.log_bytes) == CHAOS_LOG
 
 
 def test_scheduler_on_log_bytes():

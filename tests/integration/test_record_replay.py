@@ -27,6 +27,7 @@ from dataclasses import replace
 import pytest
 
 import repro.coherence.controller as controller_module
+from repro.coherence.memory import ValueStore
 from repro.harness.config import SyncScheme, SystemConfig
 from repro.harness.jobs import JobResult, collect_artifacts
 from repro.harness.runner import execute_workload, result_fingerprint
@@ -35,8 +36,7 @@ from repro.record import load_log, record_run, replay_log
 from repro.serve import JobQueue
 from repro.serve.http import JobServer
 from repro.serve.queue import Job
-from repro.verify.explorer import (VerifyOptions, explore, shrink_failure,
-                                   verify_run)
+from repro.verify.explorer import explore, shrink_failure, verify_run
 from repro.workloads.litmus import LITMUS_WORKLOADS
 
 # Pinned by tests/integration/test_policy_lab.py on the pre-refactor
@@ -174,13 +174,32 @@ class TestLitmusConformance:
         assert exploration.total_txns > 0
 
     def test_atomicity_litmus_catches_lost_updates(self, monkeypatch):
-        monkeypatch.setattr(
-            controller_module.CacheController, "_handle_loss",
-            lambda self, reason, line_addr, ts=None, aborter=-1: None)
+        """One commit loses the last word of its write set on the way to
+        memory: the paired update's ``y`` never lands.  The machine runs
+        on unharmed, so only the serializability oracle can tell: the
+        next reader of ``y`` sees the value from before that commit."""
+        publish = ValueStore.publish
+        lost = []
+
+        def lossy_publish(store, words):
+            if not lost and len(words) == 2:
+                words = dict(words)
+                lost.append(words.popitem())
+            publish(store, words)
+
+        monkeypatch.setattr(ValueStore, "publish", lossy_publish)
         spec = replace(_spec("litmus-atomicity", ops=64), validate=False)
-        result, _ = verify_run(spec, VerifyOptions(monitors=False))
+        result, _ = verify_run(spec)
+        assert lost, "no paired update committed"
+        assert result.error is None, result.error
         assert not result.ok, (
-            "the atomicity litmus missed injected lost updates")
+            "the atomicity litmus missed an injected lost update")
+        addr, value = lost[0]
+        assert len(result.violations) == 1, result.violations
+        assert result.violations[0].startswith("[stale-read ")
+        assert (f"] read addr {addr:#x} saw {value - 1} but the witness "
+                f"order implies {value} at commit t=") \
+            in result.violations[0]
 
     @pytest.mark.parametrize("workload", LITMUS_WORKLOADS)
     def test_recorded_litmus_replays_pure(self, workload):

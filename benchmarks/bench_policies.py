@@ -49,9 +49,14 @@ def test_policy_grid(benchmark):
                         "slowdown_vs_timestamp": speedups,
                         "summaries": {key: cell["summary"]
                                       for key, cell in grid.cells.items()},
-                        # Full per-cell telemetry: the per-policy
-                        # deferral-depth / retry / latency histograms.
-                        "metrics": {key: cell["metrics"]
+                        # Per-cell telemetry: the per-policy counters,
+                        # gauges and deferral-depth / retry / latency
+                        # histograms.  The per-lock profile each verdict
+                        # carries stays out; BENCH_profile.json commits
+                        # the hot cells' profiles.
+                        "metrics": {key: {name: part for name, part
+                                          in cell["metrics"].items()
+                                          if name != "profile"}
                                     for key, cell in grid.cells.items()}})
     for key, value in cycles.items():
         benchmark.extra_info[key] = value

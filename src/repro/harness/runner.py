@@ -108,23 +108,10 @@ def result_fingerprint(result: RunResult) -> str:
 def execute_workload(workload: Workload, config: SystemConfig,
                      validate: bool = True) -> RunResult:
     """Execute ``workload`` on a freshly built machine."""
-    from repro.obs.profile import LockProfiler
-
     machine = Machine(config)
     collector = MachineMetrics().attach(machine) if config.metrics else None
-    profiler = LockProfiler().attach(machine) if config.metrics else None
     stats = machine.run_workload(workload, validate=validate)
-    metrics = None
-    if collector is not None:
-        if profiler is not None:
-            # Aggregate profile families ride the shared registry so
-            # they reach the OpenMetrics export and trend gating...
-            profiler.publish(collector.registry)
-        metrics = collector.finalize(machine)
-        if profiler is not None:
-            # ...while the full per-lock breakdown travels beside the
-            # flat counters.  Neither moves result_fingerprint: metrics
-            # are telemetry about a run, not part of its outcome.
-            metrics["profile"] = profiler.snapshot()
     return RunResult(config=config, workload_name=workload.name,
-                     stats=stats, store=machine.store, metrics=metrics)
+                     stats=stats, store=machine.store,
+                     metrics=(collector.finalize(machine)
+                              if collector is not None else None))

@@ -60,7 +60,12 @@ from repro.workloads.microbench import (linked_list, multiple_counter,
 #     fill time.  Conflict timing moves, so simulated results change
 #     wherever chains form (counter workloads without data conflicts
 #     are unchanged).
-FINGERPRINT_VERSION = 10
+# v11: the ``policy.*`` gauges of RunResult metrics are machine totals
+#     (counter-like keys summed over controllers, state-like keys their
+#     maximum) instead of the last controller's value; cached v10
+#     payloads would keep serving the one-controller numbers.
+#     Simulated results are unchanged; only cache keys move.
+FINGERPRINT_VERSION = 11
 
 
 # ----------------------------------------------------------------------

@@ -12,15 +12,16 @@ reproduction carries a first-class observability layer:
   among several consumers.
 * :mod:`repro.obs.metrics` -- a dependency-free metrics registry
   (counters, gauges, fixed-bucket histograms) plus
-  :class:`~repro.obs.collect.MachineMetrics`, the telemetry consumer
-  of the ``obs`` emit points.
+  :class:`~repro.obs.collect.MachineMetrics`, the one telemetry
+  observer every run entry point attaches; its ``finalize()`` payload
+  carries the contention profile under ``"profile"``.
 * span events live in :mod:`repro.sim.trace` (the :class:`Tracer`
   pairs txn-begin/commit, defer/service and request/data into duration
   spans for Perfetto).
 * :mod:`repro.obs.profile` -- the causal profiling layer: per-lock
   contention profiles (commit rates, abort causes, cycles lost,
-  deferral waits) and the who-aborts-whom conflict matrix, built live
-  from the emit points; :mod:`repro.obs.causal` rebuilds the identical
+  deferral waits) and the who-aborts-whom conflict matrix, folded live
+  by ``MachineMetrics``; :mod:`repro.obs.causal` rebuilds the identical
   profile post-hoc from a v3 record log (kept out of this namespace to
   avoid an eager ``repro.record`` import).
 * :mod:`repro.harness.trend` diffs ``BENCH_*.json`` artifacts across
@@ -32,14 +33,14 @@ from repro.obs.metrics import (DEPTH_BUCKETS, LATENCY_BUCKETS, RETRY_BUCKETS,
                                Histogram, MetricsRegistry,
                                openmetrics_from_dict, summarize_metrics)
 from repro.obs.collect import MachineMetrics
-from repro.obs.profile import (ABORT_CAUSES, LockProfiler, ProfileBuilder,
-                               TxnTapFolder, cause_of, critical_path,
-                               describe_chain, matrix_canonical_json,
-                               render_folded, render_markdown)
+from repro.obs.profile import (ABORT_CAUSES, ProfileBuilder, TxnTapFolder,
+                               cause_of, critical_path, describe_chain,
+                               matrix_canonical_json, render_folded,
+                               render_markdown)
 
 __all__ = [
     "ABORT_CAUSES", "DEPTH_BUCKETS", "LATENCY_BUCKETS", "RETRY_BUCKETS",
-    "Fanout", "Histogram", "LockProfiler", "MetricsRegistry",
+    "Fanout", "Histogram", "MetricsRegistry",
     "MachineMetrics", "Observer", "ProfileBuilder", "TxnTapFolder",
     "attach_observer", "cause_of", "critical_path", "describe_chain",
     "matrix_canonical_json", "openmetrics_from_dict", "render_folded",

@@ -2,7 +2,7 @@
 
 A v3 record log carries ``OP_TXN`` records -- normalized transaction
 begin/commit/abort events emitted by the *same*
-:class:`~repro.obs.profile.TxnTapFolder` that feeds the live profiler,
+:class:`~repro.obs.profile.TxnTapFolder` that feeds the live profile,
 written in tap order right behind the raw ``OP_TAP`` records they fold.
 Replaying them (plus the ``defer``/``service`` tap records, whose dense
 request refs pair each deferral push with its service) through a fresh

@@ -1,9 +1,13 @@
-"""MachineMetrics: the collector the simulated machine publishes into.
+"""MachineMetrics: the one telemetry observer of a machine run.
 
 :class:`MachineMetrics` is an :class:`~repro.obs.fanout.Observer`: it
 rides the machine's ``obs`` emit points (see :mod:`repro.obs.fanout`),
 alone or beside other consumers, and each emit point pays a single
-attribute test when nothing is attached.
+attribute test when nothing is attached.  As a
+:class:`~repro.obs.profile.TxnTapFolder` whose sink is a
+:class:`~repro.obs.profile.ProfileBuilder`, it also folds the per-lock
+contention profile; :meth:`MachineMetrics.finalize` exports the flat
+registry and the profile from one snapshot.
 
 Sampling is **event-driven**, never timer-driven: a periodic
 self-rescheduling sampler event would keep the kernel's queue non-empty
@@ -11,7 +15,9 @@ and turn a genuine deadlock (queue drained with incomplete actors) into
 a max-cycles livelock diagnostic.  Deferral-queue depth is therefore
 observed at each push -- every change of the queue passes through a
 hook anyway -- and latencies are measured by pairing the open/close
-events (request->data, defer->service, marker/probe send->receive).
+events (request->data, marker/probe send->receive).  Deferral waits are
+paired once, by the profile; the flat ``defer.serviced`` and
+``defer.latency`` are its per-lock wait histograms summed at finalize.
 
 The collector only *reads* simulation state; it schedules nothing and
 mutates nothing, so attaching it cannot change a run's fingerprint
@@ -23,9 +29,11 @@ from __future__ import annotations
 from collections import Counter as TallyCounter
 from typing import TYPE_CHECKING, Optional
 
-from repro.obs.fanout import Observer, attach_observer
+from repro.obs.fanout import attach_observer
 from repro.obs.metrics import (DEPTH_BUCKETS, LATENCY_BUCKETS, RETRY_BUCKETS,
                                MetricsRegistry)
+from repro.obs.profile import ProfileBuilder, TxnTapFolder
+from repro.policies.base import SUMMED_TELEMETRY
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.coherence.controller import CacheController
@@ -34,15 +42,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.machine import Machine
 
 
-class MachineMetrics(Observer):
-    """Collects conflict/latency telemetry from one machine run."""
+class MachineMetrics(TxnTapFolder):
+    """Collects conflict/latency telemetry and the contention profile
+    from one machine run."""
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
+        super().__init__(ProfileBuilder())
         self.registry = registry or MetricsRegistry()
-        self._machine: Optional["Machine"] = None
         # Open measurements, closed by the matching completion event.
         self._miss_open: dict[int, int] = {}          # req_id -> issue time
-        self._defer_open: dict[int, int] = {}         # req_id -> defer time
         self._nack_retries: TallyCounter = TallyCounter()  # req_id -> nacks
         # Unmatched send times, oldest first.  A key leaves with its last
         # matched send, so each list holds only sends still in flight.
@@ -56,8 +64,6 @@ class MachineMetrics(Observer):
         self._defer_depth_hist = reg.histogram("defer.queue_depth",
                                                DEPTH_BUCKETS)
         self._defer_depth_gauge = reg.gauge("defer.queue_depth")
-        self._defer_serviced = reg.counter("defer.serviced")
-        self._defer_latency = reg.histogram("defer.latency", LATENCY_BUCKETS)
         self._nack_received = reg.counter("nack.received")
         self._miss_latency = reg.histogram("miss.latency", LATENCY_BUCKETS)
         self._nack_retries_hist = reg.histogram("nack.retries_per_request",
@@ -76,8 +82,7 @@ class MachineMetrics(Observer):
 
     def attach(self, machine: "Machine") -> "MachineMetrics":
         """Observe ``machine``.  Call before ``run_workload``."""
-        self._machine = machine
-        attach_observer(machine, self)
+        attach_observer(machine, self.attach_machine(machine))
         return self
 
     # ------------------------------------------------------------------
@@ -96,14 +101,7 @@ class MachineMetrics(Observer):
         self._defer_count.inc()
         self._defer_depth_hist.observe(depth)
         self._defer_depth_gauge.set(depth)
-        self._defer_open.setdefault(request.req_id, controller.sim.now)
-
-    def on_obligation_serviced(self, controller: "CacheController",
-                               request: "BusRequest") -> None:
-        started = self._defer_open.pop(request.req_id, None)
-        if started is not None:
-            self._defer_serviced.inc()
-            self._defer_latency.observe(controller.sim.now - started)
+        super().on_defer(controller, request)
 
     def on_nack(self, controller: "CacheController",
                 request: "BusRequest") -> None:
@@ -188,12 +186,22 @@ class MachineMetrics(Observer):
     # ------------------------------------------------------------------
     def finalize(self, machine: Optional["Machine"] = None) -> dict:
         """Fold in end-of-run state (per-policy telemetry, outcome
-        counters) and export the registry as a JSON-able dict."""
+        counters, the profile) and export the registry as a JSON-able
+        dict carrying the profile snapshot under ``"profile"``."""
         machine = machine or self._machine
+        self.sink.finalize()
+        profile = self.sink.snapshot()
+        self._publish_profile(profile)
         if machine is not None:
-            for controller in machine.controllers:
-                for key, value in controller.policy.telemetry().items():
-                    self.registry.gauge(f"policy.{key}").set(value)
+            # Machine totals: counter-like telemetry sums over the
+            # controllers, state-like keys keep the largest value.
+            telemetry = [controller.policy.telemetry()
+                         for controller in machine.controllers]
+            for key in telemetry[0]:
+                values = [entry[key] for entry in telemetry]
+                self.registry.gauge(f"policy.{key}").set(
+                    sum(values) if key in SUMMED_TELEMETRY
+                    else max(values))
             stats = machine.stats
             # Restart reasons come from the stats aggregate rather than
             # the on_restart hook: a restart delivered to a paused core
@@ -229,4 +237,27 @@ class MachineMetrics(Observer):
                 "policy": machine.controllers[0].policy.name,
                 "scheme": machine.config.scheme.value,
             }
+        payload["profile"] = profile
         return payload
+
+    def _publish_profile(self, profile: dict) -> None:
+        """Publish the profile's deferral waits and aggregate families
+        into the registry so they ride the OpenMetrics export and trend
+        gating."""
+        registry = self.registry
+        waits = registry.histogram("defer.latency", LATENCY_BUCKETS)
+        for wait in self.sink.defer_waits():
+            waits.merge(wait)
+        registry.counter("defer.serviced").inc(waits.count)
+        totals = profile["totals"]
+        registry.counter("profile.txn.attempts").inc(totals["attempts"])
+        registry.counter("profile.txn.commits").inc(totals["commits"])
+        registry.counter("profile.txn.aborts").inc(totals["aborts"])
+        registry.counter("profile.cycles_lost").inc(totals["cycles_lost"])
+        registry.counter("profile.deferral_cycles").inc(
+            totals["deferral_cycles"])
+        for lock in profile["locks"].values():
+            for cause, count in lock["aborts_by_cause"].items():
+                registry.counter(f"profile.aborts.{cause}").inc(count)
+        registry.gauge("profile.commit_rate").set(totals["commit_rate"])
+        registry.gauge("profile.locks").set(len(profile["locks"]))

@@ -96,6 +96,18 @@ class Histogram:
         else:
             self.counts[index] += 1
 
+    def merge(self, other: "Histogram") -> None:
+        """Add ``other``'s observations (same buckets) to this one."""
+        if not self.count:
+            self.min, self.max = other.min, other.max
+        elif other.count:
+            self.min = min(self.min, other.min)
+            self.max = max(self.max, other.max)
+        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
+        self.overflow += other.overflow
+        self.count += other.count
+        self.sum += other.sum
+
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0

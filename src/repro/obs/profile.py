@@ -3,24 +3,25 @@
 The telemetry layer (:mod:`repro.obs.collect`) reports *aggregate*
 conflict counters; this module answers the questions those aggregates
 cannot: which **lock** pays for contention, which **cpu** aborted whom,
-and what each abort **cost**.  Three pieces:
+and what each abort **cost**.  Two pieces:
 
 * :class:`TxnTapFolder` -- an :class:`~repro.obs.fanout.Observer` that
   normalizes the machine's ``obs`` emit points into transaction-
   lifecycle events (begin/commit/abort, plus deferral push/service) on
-  a sink.  The *same* folder drives the live profiler and the flight
-  recorder's ``OP_TXN`` record emission, which is what makes the live
-  conflict matrix and the post-hoc one
+  a sink.  The *same* folder drives the live profile (it is the base
+  of :class:`~repro.obs.collect.MachineMetrics`, the one telemetry
+  observer) and the flight recorder's ``OP_TXN`` record emission,
+  which is what makes the live conflict matrix and the post-hoc one
   (:func:`repro.obs.causal.profile_from_log`) byte-for-byte identical.
 * :class:`ProfileBuilder` -- the accumulator: per-lock attempt/commit/
   abort counts bucketed by cause, critical-section and abort-cost
   histograms, deferral wait histograms, the who-aborts-whom conflict
-  matrix and a capped list of per-abort causal chains.
-* :class:`LockProfiler` -- the live profiler, gated exactly like
-  :class:`~repro.obs.collect.MachineMetrics`: a pure observer (no
-  scheduling, no RNG, no machine mutation), so profiler-on runs stay
-  bit-identical to profiler-off runs (the golden-fingerprint tests pin
-  this).
+  matrix and a capped list of per-abort causal chains.  Its snapshot
+  rides every metrics payload as ``metrics["profile"]``.
+
+Both only read the machine (no scheduling, no RNG, no mutation), so
+profiled runs stay bit-identical to bare ones (the golden-fingerprint
+tests pin this).
 
 Abort causes follow the restart-reason vocabulary of
 :mod:`repro.cpu.processor`, bucketed as: ``conflict`` (timestamp-order
@@ -36,12 +37,11 @@ import json
 from typing import TYPE_CHECKING, Optional
 
 from repro.cpu.isa import line_of
-from repro.obs.fanout import Observer, attach_observer
+from repro.obs.fanout import Observer
 from repro.obs.metrics import LATENCY_BUCKETS, RETRY_BUCKETS, Histogram
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.machine import Machine
-    from repro.obs.metrics import MetricsRegistry
 
 #: Restart reason -> cause bucket.  Unlisted reasons (e.g.
 #: ``terminated``) fall into ``other``.
@@ -140,7 +140,7 @@ class _LockStats:
 class ProfileBuilder:
     """Accumulates normalized transaction events into a profile.
 
-    Fed either live (``LockProfiler`` via :class:`TxnTapFolder`) or
+    Fed either live (``MachineMetrics``, a :class:`TxnTapFolder`) or
     post-hoc from a record log's ``OP_TXN`` + deferral records
     (:func:`repro.obs.causal.profile_from_log`).  Both paths deliver
     the identical event sequence, so :meth:`snapshot` is deterministic
@@ -230,6 +230,11 @@ class ProfileBuilder:
         stats.defer_hist.observe(time - pushed)
 
     # -- export ---------------------------------------------------------
+    def defer_waits(self) -> list[Histogram]:
+        """Every lock's deferral-wait histogram (one sample per serviced
+        deferral)."""
+        return [stats.defer_hist for stats in self._locks.values()]
+
     def finalize(self) -> None:
         """Count transactions still open at end-of-run (terminated
         threads whose speculation never resolved)."""
@@ -358,46 +363,6 @@ class TxnTapFolder(Observer):
 
     def on_obligation_serviced(self, controller, request) -> None:
         self.sink.defer_service(controller.sim.now, request.req_id)
-
-
-class LockProfiler:
-    """The live per-lock contention profiler.
-
-    Attach before ``run_workload`` (gated on ``config.metrics``, same
-    as :class:`~repro.obs.collect.MachineMetrics`); call
-    :meth:`snapshot` after the run.  Being a pure observer, it cannot
-    move the schedule: profiler-on and profiler-off runs are
-    bit-identical.
-    """
-
-    def __init__(self) -> None:
-        self.builder = ProfileBuilder()
-        self._folder = TxnTapFolder(self.builder)
-
-    def attach(self, machine: "Machine") -> "LockProfiler":
-        attach_observer(machine, self._folder.attach_machine(machine))
-        return self
-
-    def snapshot(self) -> dict:
-        self.builder.finalize()
-        return self.builder.snapshot()
-
-    def publish(self, registry: "MetricsRegistry") -> None:
-        """Publish aggregate profile families into an obs registry so
-        they ride the existing OpenMetrics export and trend gating."""
-        snap = self.builder.snapshot()
-        totals = snap["totals"]
-        registry.counter("profile.txn.attempts").inc(totals["attempts"])
-        registry.counter("profile.txn.commits").inc(totals["commits"])
-        registry.counter("profile.txn.aborts").inc(totals["aborts"])
-        registry.counter("profile.cycles_lost").inc(totals["cycles_lost"])
-        registry.counter("profile.deferral_cycles").inc(
-            totals["deferral_cycles"])
-        for lock in snap["locks"].values():
-            for cause, count in lock["aborts_by_cause"].items():
-                registry.counter(f"profile.aborts.{cause}").inc(count)
-        registry.gauge("profile.commit_rate").set(totals["commit_rate"])
-        registry.gauge("profile.locks").set(len(snap["locks"]))
 
 
 # ----------------------------------------------------------------------

@@ -40,6 +40,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.config import SystemConfig
 
 
+#: Counter-like :meth:`ContentionPolicy.telemetry` keys, summed across
+#: controllers into the machine's ``policy.<key>`` gauges.
+SUMMED_TELEMETRY = frozenset({"relaxation_deferrals", "snoop_refusals",
+                              "holder_aborts"})
+
+
 class PolicyDecision(enum.Enum):
     """What to do with a conflicting incoming request."""
 
@@ -155,7 +161,12 @@ class ContentionPolicy:
         by :class:`repro.obs.MachineMetrics`.  Policies may accumulate
         telemetry tallies inside ``resolve`` (counting its verdicts
         never feeds back into a decision, so the side-effect-free
-        contract on *coherence state* is preserved)."""
+        contract on *coherence state* is preserved).
+
+        The gauges are machine totals: the counter-like keys in
+        :data:`SUMMED_TELEMETRY` are summed over the controllers; the
+        state-like rest (``retries``, ``priority``, ``nack_streak``)
+        reports the largest controller's value."""
         return {"retries": self.retries}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

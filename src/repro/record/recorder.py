@@ -270,7 +270,6 @@ def record_run(spec: RunSpec) -> RecordedRun:
     """
     from repro.harness.machine import Machine
     from repro.obs import MachineMetrics
-    from repro.obs.profile import LockProfiler
     from repro.runtime.program import ValidationError
     from repro.sim.kernel import SimulationError
 
@@ -280,23 +279,16 @@ def record_run(spec: RunSpec) -> RecordedRun:
         spec, locks=sorted(workload.lock_addrs)).attach(machine)
     collector = (MachineMetrics().attach(machine)
                  if spec.config.metrics else None)
-    profiler = (LockProfiler().attach(machine)
-                if spec.config.metrics else None)
     error: Optional[str] = None
     try:
         machine.run_workload(workload, validate=spec.validate)
     except (ValidationError, SimulationError) as exc:
         error = f"{type(exc).__name__}: {exc}"
-    metrics = None
-    if collector is not None:
-        if profiler is not None:
-            profiler.publish(collector.registry)
-        metrics = collector.finalize(machine)
-        if profiler is not None:
-            metrics["profile"] = profiler.snapshot()
     result = RunResult(
         config=spec.config, workload_name=workload.name,
-        stats=machine.stats, store=machine.store, metrics=metrics)
+        stats=machine.stats, store=machine.store,
+        metrics=(collector.finalize(machine)
+                 if collector is not None else None))
     fingerprint = result_fingerprint(result)
     log = recorder.finish(fingerprint)
     return RecordedRun(result=result, log=log, fingerprint=fingerprint,

@@ -8,8 +8,8 @@ development, packaged for users debugging their workloads.
 
 Attach with :meth:`Tracer.attach`; the tracer is an
 :class:`~repro.obs.fanout.EventObserver` on the machine's ``obs`` emit
-points, beside any other consumer (the flight recorder, the profiler),
-each keeping its own drop accounting.  An untraced run pays one
+points, beside any other consumer (the flight recorder, the metrics
+collector), each keeping its own drop accounting.  An untraced run pays one
 attribute test per emit point.
 
 Besides instant events the tracer pairs matching begin/end instants

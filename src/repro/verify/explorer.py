@@ -46,7 +46,11 @@ from repro.verify.recorder import FootprintRecorder
 #     by ``from_dict``); pre-v4 cached verdicts lack the stamp.
 # v5: VerifyResult grew ``record_log`` (repro.record auto-capture of
 #     the shrunk failing schedule); pre-v5 verdicts lack the field.
-VERIFY_FINGERPRINT_VERSION = 5
+# v6: verdict metrics are the one telemetry payload every run carries:
+#     they grew the ``profile`` section and the ``profile.*`` families,
+#     and the ``policy.*`` gauges became machine totals; cached v5
+#     verdicts would come back without the profile.
+VERIFY_FINGERPRINT_VERSION = 6
 
 #: Cycles of trace to render before/after the first violation.
 TRACE_WINDOW_BEFORE = 2_000

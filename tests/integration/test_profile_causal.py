@@ -2,14 +2,14 @@
 
 The load-bearing contracts:
 
-* **Profiler-on ≡ profiler-off.**  Attaching the lock profiler (and the
-  OP_TXN-writing recorder sink) must not perturb the schedule: with
-  metrics on or off, run fingerprints equal the golden fingerprints
-  pinned by the policy-lab tests.
+* **Profiler-on ≡ profiler-off.**  Attaching the metrics collector,
+  which folds the profile (and the OP_TXN-writing recorder sink), must
+  not perturb the schedule: with metrics on or off, run fingerprints
+  equal the golden fingerprints pinned by the policy-lab tests.
 * **Live ≡ post-hoc.**  The conflict matrix -- and in fact the whole
   profile snapshot -- computed live from taps is byte-identical to the
   one recomputed from the ``.rlog`` via :mod:`repro.obs.causal`, across
-  workloads and contention policies.
+  workloads, contention policies, protocols and recorded verify runs.
 * **Abort spans carry causes.**  ``Timeline.txn_spans`` labels aborted
   windows with the restart reason folded from OP_TXN records.
 * **CLI surfacing.**  ``repro profile`` renders live and from-log in
@@ -24,8 +24,10 @@ from repro.cli import main
 from repro.harness.runner import execute_workload, result_fingerprint
 from repro.obs.causal import profile_from_log
 from repro.obs.profile import matrix_canonical_json
+from repro.policies import POLICY_NAMES
 from repro.record import load_log, record_run
 from repro.record.timeline import Timeline
+from repro.verify.explorer import verify_run
 
 from tests.integration.test_policy_lab import GOLDEN_DEFAULT
 from tests.integration.test_record_replay import _spec
@@ -58,7 +60,7 @@ class TestProfilerPurity:
 # Live ≡ post-hoc causal attribution
 # ----------------------------------------------------------------------
 class TestLiveVsPostHoc:
-    @pytest.mark.parametrize("policy", ["timestamp", "nack"])
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
     @pytest.mark.parametrize("workload", ["linked-list",
                                           "multiple-counter"])
     def test_conflict_matrix_byte_identical(self, workload, policy):
@@ -87,6 +89,19 @@ class TestLiveVsPostHoc:
             aborters = {a for row in live["conflicts"].values()
                         for a in row}
             assert aborters != {"-1"}
+
+    @pytest.mark.parametrize("protocol", ["snoop", "directory"])
+    def test_verdict_profile_matches_its_log(self, protocol):
+        """A verdict carries the same telemetry payload as every run:
+        its profile is the one folded post-hoc from its own log."""
+        spec = _spec("linked-list", protocol=protocol, cpus=8, ops=96)
+        spec.config.schedule_chaos = 4
+        verdict, _ = verify_run(spec, record=True)
+        assert verdict.ok, verdict.error or verdict.violations
+        live = verdict.metrics["profile"]
+        assert live["totals"]["attempts"] > 0
+        assert json.dumps(live, sort_keys=True) == \
+            json.dumps(profile_from_log(verdict.log_bytes), sort_keys=True)
 
 
 # ----------------------------------------------------------------------

@@ -47,16 +47,17 @@ from tests.integration.test_policy_lab import GOLDEN_DEFAULT
 # policy): captured before the observers moved onto explicit ``obs``
 # emit points, which reproduced them byte for byte; re-captured at
 # FINGERPRINT_VERSION 10 (the log header carries the version, and the
-# runs changed when probes stopped being re-sent on a timer).
+# runs changed when probes stopped being re-sent on a timer) and at 11
+# (only the header's version field moved; the records are unchanged).
 LOG_DIGESTS = {
     ("snoop", "timestamp"):
-        "0c69fcd99007f87fb948cd5c5073ace35e0543205904df6a5d206619cb339c9d",
+        "64366cdac0007df1274a6fb25b519c473b51d8661e08f9bbd43a391f7906c56a",
     ("snoop", "nack"):
-        "5679563f3a4f5e68b6c1b3f6554f87b0b024167aeeb55297b8d920f9710603f3",
+        "7c771f4cb9c06744547620b3f72f24843a8ca8d87ad50708305bac95d9e0653b",
     ("directory", "timestamp"):
-        "730e5202910d490cfa4af31389896ae597b9630566481b2def455abe97f5deb2",
+        "19d3185daeca3c49596762055b504e9e10a1fe409eaa540fc43bcfb9d828b356",
     ("directory", "nack"):
-        "dc2f09d691911f3c010a79067904c78666a8e68ca198c5b9ece108408e795d61",
+        "21d218a8a57478b20d3fb53b99036e419a23d4163f7ab7929e97b9796e90424a",
 }
 
 

@@ -11,6 +11,7 @@ from repro.harness.runner import (RunResult, execute_workload,
 from repro.obs import (DEPTH_BUCKETS, Histogram, MachineMetrics,
                        MetricsRegistry, openmetrics_from_dict,
                        summarize_metrics)
+from repro.policies import POLICY_NAMES
 from repro.workloads.microbench import linked_list, single_counter
 
 from tests.conftest import small_config
@@ -36,6 +37,18 @@ class TestPrimitives:
         assert hist.overflow == 1        # 99
         assert hist.count == 6 and hist.min == 0 and hist.max == 99
         assert hist.mean == pytest.approx(109 / 6)
+
+    def test_histogram_merge_equals_observing_every_value(self):
+        parts = [(), (3, 0), (), (99, 2, 5)]
+        merged = Histogram("m", buckets=(1, 2, 4))
+        whole = Histogram("w", buckets=(1, 2, 4))
+        for values in parts:
+            part = Histogram("p", buckets=(1, 2, 4))
+            for value in values:
+                part.observe(value)
+                whole.observe(value)
+            merged.merge(part)
+        assert merged.to_dict() == whole.to_dict()
 
     def test_histogram_rejects_unsorted_buckets(self):
         with pytest.raises(ValueError):
@@ -105,6 +118,24 @@ class TestMachineCollector:
         assert "policy.relaxation_deferrals" in gauges
         assert metrics["meta"]["policy"] == "timestamp"
         assert "TLR" in metrics["meta"]["scheme"]
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_policy_gauges_are_machine_totals(self, policy):
+        """Counter-like policy telemetry sums over the controllers;
+        state-like keys report the largest controller's value."""
+        machine = Machine(small_config(8, SyncScheme.TLR).with_policy(policy))
+        collector = MachineMetrics().attach(machine)
+        machine.run_workload(linked_list(8, 512))
+        gauges = collector.finalize(machine)["gauges"]
+        telemetry = [c.policy.telemetry() for c in machine.controllers]
+        summed = {"relaxation_deferrals", "snoop_refusals",
+                  "holder_aborts"}
+        for key in telemetry[0]:
+            rule = sum if key in summed else max
+            assert gauges[f"policy.{key}"]["value"] == \
+                rule(t[key] for t in telemetry), key
+        if policy == "timestamp":
+            assert gauges["policy.relaxation_deferrals"]["value"] == 1284
 
     def test_matched_sends_leave_no_open_entries(self):
         """A marker or probe key leaves the open-send tables with its
